@@ -26,7 +26,6 @@ from .kasteleyn import (
     assemble,
     connection_is_valid,
     flip_coboundary,
-    partition_function,
     solve_signs,
 )
 from .linalg import (

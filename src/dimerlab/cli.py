@@ -192,15 +192,16 @@ def cmd_stats(args) -> int:
     if args.edge is not None:
         eid = g.resolve_edge(args.edge)
         p = probability_matrix(sys_, eid)
-        dist = multiplicity_distribution(p)
         es = char_coeffs(p)
+        dist = multiplicity_distribution(p, es)
+        var = variance(p)
         out["edge"] = {
             "selector": args.edge,
             "id": eid,
             "char_coeffs": jsonable(es),
             "pmf": jsonable(list(dist)),
             "mean": jsonable(dist.mean()),
-            "variance": jsonable(variance(p)),
+            "variance": jsonable(var),
             "negative_mass": dist.has_negative,
         }
         lines.append(f"edge {args.edge} (id {eid}):")
@@ -208,7 +209,7 @@ def cmd_stats(args) -> int:
         for k, m in enumerate(dist):
             lines.append(f"  Pr[m={k}] = {fmt(m)}")
         lines.append(f"  mean = {fmt(expected_multiplicity(p))}")
-        lines.append(f"  variance = {fmt(variance(p))}")
+        lines.append(f"  variance = {fmt(var)}")
         if dist.has_negative:
             lines.append("  warning: negative mass (weights are not positive)")
     for pair in args.covariance or []:

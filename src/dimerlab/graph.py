@@ -235,9 +235,6 @@ class EmbeddedGraph:
 
     # -- backend ------------------------------------------------------------
 
-    def is_exact(self) -> bool:
-        return not any(e.weight.has_float() for e in self.edges.values())
-
     def multiplicities(self):
         return sorted({v.multiplicity for v in self.vertices.values()})
 

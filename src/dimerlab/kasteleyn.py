@@ -14,8 +14,10 @@ the enumeration oracle certifies either way.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .graph import EmbeddedGraph, GraphError
-from .linalg import BlockMatrix, Matrix, SingularMatrixError, det, inverse
+from .linalg import LU, BlockMatrix, Matrix, SingularMatrixError, lu
 
 
 class SignSolveError(GraphError):
@@ -108,7 +110,11 @@ def flip_coboundary(eps: dict, g: EmbeddedGraph, flip_vertices) -> dict:
 
 
 class KasteleynSystem:
-    """Assembled block Kasteleyn matrix with cached inverse and |det|."""
+    """Block Kasteleyn matrix; ``det`` and ``block_inverse`` share one LU of K.
+
+    A white vertex's n_w columns of K^{-1} are solved when one of its blocks
+    is first read, then cached: a local statistic never inverts all of K.
+    """
 
     def __init__(self, g: EmbeddedGraph, eps: dict):
         self.graph = g
@@ -119,19 +125,16 @@ class KasteleynSystem:
         self._bpos = {b: j for j, b in enumerate(self.black_order)}
         row_sizes = [g.vertices[w].multiplicity for w in self.white_order]
         col_sizes = [g.vertices[b].multiplicity for b in self.black_order]
-        grid = [
-            [Matrix.zeros(rs, cs) for cs in col_sizes] for rs in row_sizes
-        ]
+        self.K = BlockMatrix(row_sizes, col_sizes, Matrix.zeros(sum(row_sizes), sum(col_sizes)))
+        data = self.K.mat.data  # filled in place, before anything reads K
         for e in g.edges.values():
-            i = self._wpos[e.white]
-            j = self._bpos[e.black]
-            grid[i][j] = grid[i][j] + e.weight * self.eps[e.id]
-        if row_sizes and col_sizes:
-            self.K = BlockMatrix.from_blocks(grid)
-        else:
-            self.K = BlockMatrix([], [], Matrix([]))
-        self._det = None
-        self._kinv = None
+            r0 = self.K.row_offset(self._wpos[e.white])
+            c0 = self.K.col_offset(self._bpos[e.black])
+            for r, brow in enumerate((e.weight * self.eps[e.id]).data, r0):
+                row = data[r]
+                for c, x in enumerate(brow, c0):
+                    row[c] = row[c] + x
+        self._columns = {}  # white position -> its solved columns of K^{-1}
 
     # -- lookups -----------------------------------------------------------
 
@@ -140,38 +143,41 @@ class KasteleynSystem:
         e = self.graph.edges[eid]
         return e.weight * self.eps[eid]
 
-    def white_pos(self, white_id: int) -> int:
-        return self._wpos[white_id]
-
-    def black_pos(self, black_id: int) -> int:
-        return self._bpos[black_id]
-
     def k_block(self, white_id: int, black_id: int) -> Matrix:
         return self.K.block(self._wpos[white_id], self._bpos[black_id])
 
+    @cached_property
+    def _lu(self) -> LU:
+        return lu(self.K.mat)
+
     def det(self):
-        if self._det is None:
-            self._det = det(self.K.mat)
-        return self._det
+        return self._lu.det()
 
     def partition_function(self):
         """|det K| (exact absolute value on the rational backend)."""
         d = self.det()
         return -d if d < 0 else d
 
-    def inverse(self) -> BlockMatrix:
-        """K^{-1} as a block matrix (rows: black vertices, cols: white)."""
-        if self._kinv is None:
-            try:
-                inv = inverse(self.K.mat)
-            except SingularMatrixError as exc:
-                raise SingularMatrixError("Kasteleyn matrix is singular") from exc
-            self._kinv = BlockMatrix(self.K.col_sizes, self.K.row_sizes, inv)
-        return self._kinv
+    def _block_column(self, i: int) -> list:
+        """The n_w solved columns of K^{-1} for white position i (cached)."""
+        if i not in self._columns:
+            if self._lu.singular:
+                raise SingularMatrixError("Kasteleyn matrix is singular")
+            c0 = self.K.row_offset(i)
+            self._columns[i] = [self._lu.solve_unit(c) for c in range(c0, c0 + self.K.row_sizes[i])]
+        return self._columns[i]
 
     def block_inverse(self, white_id: int, black_id: int) -> Matrix:
         """Block of K^{-1} in black row [j], white column [i]."""
-        return self.inverse().block(self._bpos[black_id], self._wpos[white_id])
+        cols = self._block_column(self._wpos[white_id])
+        j = self._bpos[black_id]
+        r0 = self.K.col_offset(j)
+        return Matrix([[x[r] for x in cols] for r in range(r0, r0 + self.K.col_sizes[j])])
+
+    def inverse(self) -> BlockMatrix:
+        """All of K^{-1} (rows: black blocks, cols: white blocks); solves every column."""
+        cols = [x for i in range(len(self.K.row_sizes)) for x in self._block_column(i)]
+        return BlockMatrix(self.K.col_sizes, self.K.row_sizes, Matrix(zip(*cols)))
 
 
 def assemble(g: EmbeddedGraph, eps: dict | None = None, even_rule=None) -> KasteleynSystem:
@@ -189,7 +195,3 @@ def assemble(g: EmbeddedGraph, eps: dict | None = None, even_rule=None) -> Kaste
         if missing:
             raise GraphError(f"connection missing edges {sorted(missing)}")
     return KasteleynSystem(g, eps)
-
-
-def partition_function(sys: KasteleynSystem):
-    return sys.partition_function()

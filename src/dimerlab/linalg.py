@@ -1,7 +1,8 @@
 """Dense matrices generic over the three scalar backends.
 
-Everything the statistics formulas need lives here: exact determinants and
-inverses (pivoted Gaussian elimination over a field), a division-free
+Everything the statistics formulas need lives here: one pivoted LU
+elimination over a field on sparse dict rows (determinants, inverses and
+single column solves all go through it), a division-free
 determinant for polynomial entries (Bird's algorithm), minors, Schur
 complements in general position, and characteristic-polynomial
 coefficients via Newton's identities.  Entries are whatever the scalar
@@ -12,6 +13,9 @@ input.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import accumulate
+from operator import mul
 
 from .scalars import MPoly
 
@@ -64,10 +68,6 @@ class Matrix:
         for i, x in enumerate(entries):
             out[i][i] = x
         return Matrix(out)
-
-    @staticmethod
-    def scalar(x) -> "Matrix":
-        return Matrix([[x]])
 
     # -- basics ----------------------------------------------------------
 
@@ -163,9 +163,6 @@ class Matrix:
             out.append(orow)
         return Matrix(out)
 
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def trace(self):
         if not self.is_square():
             raise ShapeError("trace of non-square matrix")
@@ -179,60 +176,117 @@ class Matrix:
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         return Matrix([[self.data[i][j] for j in col_idx] for i in row_idx])
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise ShapeError("hstack row mismatch")
-        return Matrix([self.data[i] + other.data[i] for i in range(self.rows)])
+
+class LU:
+    """P m = L U of a square field matrix, from :func:`lu`.
+
+    Row k of U is ``pivots[k]`` on the diagonal and ``upper[k]``, a dict
+    {column: entry}, right of it.  ``perm[k]`` is that row's original index
+    and ``ops[k]`` the (original row, multiplier) pairs step k subtracted;
+    a solve replays them on its right-hand side.  Elimination stops at the
+    first column without a pivot and sets ``singular``.
+    """
+
+    __slots__ = ("perm", "pivots", "upper", "ops", "sign", "singular", "zero")
+
+    def det(self):
+        """Signed product of the pivots; zero when singular."""
+        if self.singular:
+            return self.zero
+        acc = reduce(mul, self.pivots) if self.pivots else Fraction(1)
+        return acc if self.sign == 1 else -acc
+
+    def solve_unit(self, j: int) -> list:
+        """The column x with m x = e_j; raises SingularMatrixError."""
+        n, zero, perm = len(self.perm), self.zero, self.perm
+        if self.singular:
+            raise SingularMatrixError(f"singular {n}x{n} matrix")
+        z = {j: Fraction(1)}
+        for pivot_row, step in zip(perm, self.ops):
+            v = z.get(pivot_row)
+            if v:
+                for r, q in step:
+                    z[r] = z.get(r, zero) - q * v
+        x = [zero] * n
+        for k in reversed(range(n)):
+            s = z.get(perm[k], zero)
+            for c, v in self.upper[k].items():
+                if x[c]:
+                    s = s - v * x[c]
+            x[k] = s / self.pivots[k] if s else zero
+        return x
+
+
+def lu(m: Matrix) -> LU:
+    """Pivoted Gaussian elimination of a square field matrix on dict rows.
+
+    Zeros are never stored, so sparse rows stay cheap.  The pivot is the
+    first nonzero of the column on exact input, the largest |x| on float.
+    """
+    if not m.is_square():
+        raise ShapeError("LU of non-square matrix")
+    n = m.rows
+    rows = [{c: x for c, x in enumerate(row) if x} for row in m.data]
+    use_abs = any(isinstance(x, float) for row in rows for x in row.values())
+    f = LU()
+    f.perm, f.pivots, f.upper, f.ops = list(range(n)), [], [], []
+    f.sign, f.singular, f.zero = 1, False, 0.0 if use_abs else Fraction(0)
+    for col in range(n):
+        if use_abs:
+            best, pivot = 0.0, None
+            for r in range(col, n):
+                v = abs(rows[r].get(col, 0))
+                if v > best:
+                    best, pivot = v, r
+        else:
+            pivot = None
+            for r in range(col, n):
+                if col in rows[r]:
+                    pivot = r
+                    break
+        if pivot is None:
+            f.singular = True
+            break
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            f.perm[col], f.perm[pivot] = f.perm[pivot], f.perm[col]
+            f.sign = -f.sign
+        prow = rows[col]
+        p = prow.pop(col)
+        step = []
+        for r in range(col + 1, n):
+            row = rows[r]
+            x = row.pop(col, None)
+            if x is None:
+                continue
+            q = x / p
+            step.append((f.perm[r], q))
+            for c, v in prow.items():
+                y = row.get(c, 0) - q * v
+                if y:
+                    row[c] = y
+                else:
+                    row.pop(c, None)
+        f.pivots.append(p)
+        f.upper.append(prow)
+        f.ops.append(step)
+    return f
 
 
 def det(m: Matrix):
     """Exact determinant.
 
-    Field entries (rationals, floats) use pivoted Gaussian elimination;
-    polynomial entries use Bird's division-free elimination since the
-    polynomial ring has no division.
+    Field entries (rationals, floats) use the pivoted elimination of
+    :func:`lu`; polynomial entries use Bird's division-free elimination
+    since the polynomial ring has no division.
     """
     if not m.is_square():
         raise ShapeError("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
+    if m.rows == 1:  # most oracle minors; skips the factorisation's set-up
+        return m.data[0][0]
     if m.has_poly():
         return _det_bird(m)
-    a = [row[:] for row in m.data]
-    use_abs = m.has_float()
-    sign = 1
-    acc = None
-    for col in range(n):
-        pivot = None
-        if use_abs:
-            best = 0.0
-            for r in range(col, n):
-                v = abs(a[r][col])
-                if v > best:
-                    best = v
-                    pivot = r
-        else:
-            for r in range(col, n):
-                if a[r][col] != 0:
-                    pivot = r
-                    break
-        if pivot is None:
-            return 0.0 if use_abs else Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            sign = -sign
-        p = a[col][col]
-        acc = p if acc is None else acc * p
-        for r in range(col + 1, n):
-            f = a[r][col] / p
-            if f == 0:
-                continue
-            row = a[r]
-            prow = a[col]
-            for c in range(col, n):
-                row[c] = row[c] - f * prow[c]
-    return acc if sign == 1 else -acc
+    return lu(m).det()
 
 
 def _det_bird(m: Matrix):
@@ -263,47 +317,13 @@ def _bird_mu(x: Matrix) -> Matrix:
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan; raises SingularMatrixError."""
+    """Exact inverse, one :func:`lu` solve per unit column; raises SingularMatrixError."""
     if not m.is_square():
         raise ShapeError("inverse of non-square matrix")
     if m.has_poly():
         raise LinalgError("polynomial matrices are not invertible in the ring")
-    n = m.rows
-    a = [row[:] for row in m.data]
-    one, zero = Fraction(1), Fraction(0)
-    b = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    use_abs = m.has_float()
-    for col in range(n):
-        pivot = None
-        if use_abs:
-            best = 0.0
-            for r in range(col, n):
-                v = abs(a[r][col])
-                if v > best:
-                    best = v
-                    pivot = r
-        else:
-            for r in range(col, n):
-                if a[r][col] != 0:
-                    pivot = r
-                    break
-        if pivot is None:
-            raise SingularMatrixError(f"singular {n}x{n} matrix")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        p = a[col][col]
-        a[col] = [v / p for v in a[col]]
-        b[col] = [v / p for v in b[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            if f == 0:
-                continue
-            a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-            b[r] = [v - f * w for v, w in zip(b[r], b[col])]
-    return Matrix(b)
+    f = lu(m)
+    return Matrix(zip(*(f.solve_unit(j) for j in range(m.rows))))
 
 
 def minor(m: Matrix, row_idx, col_idx):
@@ -401,8 +421,8 @@ class BlockMatrix:
         if sum(self.row_sizes) != mat.rows or sum(self.col_sizes) != mat.cols:
             raise ShapeError("block sizes do not tile the matrix")
         self.mat = mat
-        self._row_off = _offsets(self.row_sizes)
-        self._col_off = _offsets(self.col_sizes)
+        self._row_off = [0, *accumulate(self.row_sizes)]
+        self._col_off = [0, *accumulate(self.col_sizes)]
 
     @staticmethod
     def from_blocks(grid) -> "BlockMatrix":
@@ -429,10 +449,3 @@ class BlockMatrix:
 
     def col_offset(self, j: int) -> int:
         return self._col_off[j]
-
-
-def _offsets(sizes):
-    off = [0]
-    for s in sizes:
-        off.append(off[-1] + s)
-    return off

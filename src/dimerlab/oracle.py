@@ -93,13 +93,6 @@ def enumerate_covers(g: EmbeddedGraph, cap: int = DEFAULT_COVER_CAP):
     return out
 
 
-def check_cover(g: EmbeddedGraph, cover: dict) -> bool:
-    for v in g.vertices.values():
-        if sum(cover.get(eid, 0) for eid in v.rotation) != v.multiplicity:
-            return False
-    return True
-
-
 def _used_in_reading_order(g: EmbeddedGraph, vid: int, cover: dict):
     return [eid for eid in g.reading_order(vid) if cover.get(eid, 0) > 0]
 

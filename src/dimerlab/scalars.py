@@ -47,10 +47,6 @@ def format_scalar(x):
     raise ScalarError(f"cannot serialize scalar {x!r}")
 
 
-def is_exact(x) -> bool:
-    return not isinstance(x, float)
-
-
 def decimal_str(x, digits: int = 12) -> str:
     """12-significant-digit decimal rendering used in reports."""
     return f"{float(x):.{digits}g}"

@@ -104,12 +104,14 @@ def edge_pgf(p: Matrix) -> MPoly:
     return acc
 
 
-def multiplicity_distribution(p: Matrix) -> Distribution:
+def multiplicity_distribution(p: Matrix, es=None) -> Distribution:
     """pmf via the division-free alternating-binomial formula.
 
-    Pr[m = k] = sum_{i>=k} (-1)^(i-k) C(i,k) e_i(P_e).
+    Pr[m = k] = sum_{i>=k} (-1)^(i-k) C(i,k) e_i(P_e); pass ``es`` when
+    char_coeffs(p) is already at hand.
     """
-    es = char_coeffs(p)
+    if es is None:
+        es = char_coeffs(p)
     n = p.rows
     masses = []
     for k in range(n + 1):
@@ -299,7 +301,6 @@ def joint_pgf(sys: KasteleynSystem, edge_ids, max_marked: int = 4) -> MPoly:
     if not edge_ids:
         return MPoly.const(Fraction(1))
     g = sys.graph
-    kinv = sys.inverse()  # rows: black blocks, cols: white blocks
     # flat black indices where any marked block column lives
     marked_blacks = []
     for eid in edge_ids:
@@ -324,11 +325,9 @@ def joint_pgf(sys: KasteleynSystem, edge_ids, max_marked: int = 4) -> MPoly:
         shift = t - 1
         block = sys.edge_block(eid)  # n_w x n_b
         c0, nb = spans[e.black]
-        wpos = sys.white_pos(e.white)
         for b_row in marked_blacks:
             r0, nr = spans[b_row]
-            kinv_block = kinv.block(sys.black_pos(b_row), wpos)  # n_{b_row} x n_w
-            contrib = kinv_block @ block
+            contrib = sys.block_inverse(e.white, b_row) @ block  # n_{b_row} x n_b
             for r in range(nr):
                 for c in range(nb):
                     if contrib.data[r][c] != 0:

@@ -1,8 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from dimerlab.cli import main
+from dimerlab.graph import save_graph
+from dimerlab.linalg import Matrix
+from dimerlab.zoo import grid_graph, uniform_grid
 
 
 def run(capsys, *argv):
@@ -133,6 +137,15 @@ def test_singular_exit_code(tmp_path, capsys):
     rc, _, err = run(capsys, "stats", "--graph", str(path), "--edge", "e")
     assert rc == 3
     assert "numerical" in err
+
+
+def test_singular_grid_stats_edge_exit_code(tmp_path, capsys):
+    path = tmp_path / "singular_grid.json"
+    save_graph(grid_graph(uniform_grid(0, 1, b=[Matrix([[Fraction(0)]])])), str(path))
+    rc, out, err = run(capsys, "stats", "--graph", str(path), "--edge", "v0")
+    assert rc == 3
+    assert "Kasteleyn matrix is singular" in err
+    assert out == ""
 
 
 def test_bad_move_site_is_input_error(tmp_path, capsys):

@@ -120,8 +120,9 @@ def test_singular_reported_at_inverse_time():
     assert sys.partition_function() == 0
     from dimerlab.linalg import SingularMatrixError
 
-    with pytest.raises(SingularMatrixError):
-        sys.inverse()
+    e = next(iter(g.edges.values()))
+    with pytest.raises(SingularMatrixError, match="Kasteleyn matrix is singular"):
+        sys.block_inverse(e.white, e.black)
 
 
 def test_sign_solution_independence():
