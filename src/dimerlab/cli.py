@@ -33,6 +33,8 @@ from .scalars import decimal_str
 from .statistics import (
     covariance,
     expected_multiplicity,
+    marked_matrix,
+    marked_product,
     multiplicity_distribution,
     probability_matrix,
     product_expectation,
@@ -242,8 +244,9 @@ def cmd_verify(args) -> int:
             o = oracle_distribution(g, eid, table=table)
             checks.append((f"pmf edge {eid}", pmf == o, f"{[str(x) for x in pmf]}"))
         eids = sorted(g.edges)
-        for a, b in itertools.combinations(eids, 2):
-            lhs = product_expectation(sys_, [a, b])
+        gm, spans = marked_matrix(sys_, eids)
+        for (a, sa), (b, sb) in itertools.combinations(zip(eids, spans), 2):
+            lhs = marked_product(gm, [sa, sb])
             rhs = oracle_product_expectation(g, [a, b], table=table)
             checks.append((f"E[m{a} m{b}]", lhs == rhs, f"{lhs}"))
     ok = all(c[1] for c in checks)
@@ -328,6 +331,8 @@ def cmd_move(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     g = load_input(args)
     cap = oracle_cap()
     table = oracle_cover_table(g, cap=cap)

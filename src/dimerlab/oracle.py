@@ -183,6 +183,7 @@ def cover_weight(
     g: EmbeddedGraph,
     cover: dict,
     transpose_minors: bool = False,
+    minors: dict | None = None,
 ):
     """Weight of one cover: sum over colorings of sign times minor products.
 
@@ -191,8 +192,11 @@ def cover_weight(
 
     ``transpose_minors`` deliberately swaps the row/column convention of
     the edge minors (a negative control: the determinant identity must
-    then fail on non-symmetric weights).
+    then fail on non-symmetric weights).  ``minors`` memoises edge minors
+    by (edge id, rows, cols); pass one dict for every cover of ``g``.
     """
+    if minors is None:
+        minors = {}
     order = list(g.vertices)
     pos = {vid: i for i, vid in enumerate(order)}
     states = {(): Fraction(1)}
@@ -224,7 +228,10 @@ def cover_weight(
                     cols = [c - 1 for c in sorted(jb)]
                     if transpose_minors:
                         rows, cols = cols, rows
-                    m = minor(g.edges[eid].weight, rows, cols)
+                    key = (eid, tuple(rows), tuple(cols))
+                    m = minors.get(key)
+                    if m is None:
+                        m = minors[key] = minor(g.edges[eid].weight, rows, cols)
                     if m == 0:
                         ok = False
                         break
@@ -253,7 +260,8 @@ def oracle_cover_table(
 ):
     """(covers, weights, Z) by direct enumeration."""
     covers = enumerate_covers(g, cap=cap)
-    weights = [cover_weight(g, w, transpose_minors=transpose_minors) for w in covers]
+    minors = {}
+    weights = [cover_weight(g, w, transpose_minors, minors) for w in covers]
     z = Fraction(0)
     for w in weights:
         z = z + w

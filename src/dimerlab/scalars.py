@@ -11,6 +11,7 @@ and the polynomial ring itself.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -22,7 +23,7 @@ def parse_scalar(value):
     """Parse a scalar from a GraphSpec document.
 
     Strings are exact: ``"3/4"`` or ``"-5"`` become ``Fraction``.  Bare
-    JSON numbers select the float backend.
+    JSON numbers select the float backend and must be finite.
     """
     if isinstance(value, str):
         try:
@@ -32,7 +33,13 @@ def parse_scalar(value):
     if isinstance(value, bool):
         raise ScalarError(f"bad scalar {value!r}")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            x = float(value)
+        except OverflowError as exc:
+            raise ScalarError(f"bad float scalar {value!r}: {exc}") from exc
+        if not math.isfinite(x):
+            raise ScalarError(f"non-finite float scalar {value!r}")
+        return x
     raise ScalarError(f"bad scalar {value!r}")
 
 

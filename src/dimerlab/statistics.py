@@ -2,16 +2,19 @@
 
 For an edge e = (w, b) the probability matrix is the block product
 P_e = K^{[b],[w]} ε(e) wt(e); its trace is the expected multiplicity and
-det(I + (t-1) P_e) is the probability generating function.  Everything
-else - exact pmf, moments, variance, multi-edge product expectations,
-covariances and joint generating functions - is derived from traces and
+det(I + (t-1) P_e) is the probability generating function.  The exact
+pmf, moments, variance and covariances are derived from traces and
 characteristic coefficients, never from eigenvalues, so the rational
-backend stays exact end to end.
+backend stays exact end to end.  Multi-edge product expectations and
+joint distributions are sums of principal minors of the marked-edge
+matrix G (:func:`marked_matrix`), since det(K^{-1} K~) = det(I + S G);
+their cost is exponential in the size of G.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,7 +120,7 @@ def multiplicity_distribution(p: Matrix, es=None) -> Distribution:
     for k in range(n + 1):
         acc = Fraction(0)
         for i in range(k, n + 1):
-            term = _binom(i, k) * es[i]
+            term = math.comb(i, k) * es[i]
             acc = acc + (term if (i - k) % 2 == 0 else -term)
         masses.append(acc)
     return Distribution(masses)
@@ -162,23 +165,6 @@ def _stirling2(n: int, k: int) -> int:
     return k * _stirling2(n - 1, k) + _stirling2(n - 1, k - 1)
 
 
-@lru_cache(maxsize=None)
-def _binom(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 def moment(p: Matrix, power: int):
     """E[m_e^N] = sum_k k! S(N,k) e_k(P_e) with Stirling numbers S."""
     if power < 1:
@@ -186,7 +172,7 @@ def moment(p: Matrix, power: int):
     es = char_coeffs(p)
     acc = Fraction(0)
     for k in range(1, min(power, p.rows) + 1):
-        acc = acc + _factorial(k) * _stirling2(power, k) * es[k]
+        acc = acc + math.factorial(k) * _stirling2(power, k) * es[k]
     return acc
 
 
@@ -236,41 +222,61 @@ def psi(matrices) -> object:
     return total
 
 
+def marked_matrix(sys: KasteleynSystem, edge_ids):
+    """(G, spans): the marked-edge matrix and the row range of each edge's block.
+
+    G_ef = wt(e) ε(e) K^{[b_e],[w_f]} is n_{w_e} x n_{w_f}, the step of
+    :func:`cycle_probability_matrix` from e to f; G has size d = sum n_{w_e}.
+    By Sylvester's identity det(K^{-1} K~) = det(I + S G) with
+    S = diag((t_e - 1) I), so every multi-edge statistic is a function of G.
+    """
+    g = sys.graph
+    edges = [g.edges[eid] for eid in edge_ids]
+    rows, spans = [], []
+    for e in edges:
+        blk = sys.edge_block(e.id)
+        parts = [blk @ sys.block_inverse(f.white, e.black) for f in edges]
+        spans.append(range(len(rows), len(rows) + blk.rows))
+        rows.extend([x for p in parts for x in p.data[r]] for r in range(blk.rows))
+    return Matrix(rows), spans
+
+
+def minor_sums(gm: Matrix, spans, counts) -> dict:
+    """{j: sum of det G[R,R] over row sets R taking j_e rows from block e}.
+
+    ``counts[e]`` lists the j_e to enumerate for the block with rows
+    ``spans[e]``.  The sum for j is the coefficient of prod s_e^{j_e} in
+    det(I + S G), S = diag(s_e I).  Like a mixed discriminant it costs
+    exponentially many determinants in the size of G.
+    """
+    choices = [
+        [(j, rows) for j in js for rows in itertools.combinations(span, j)]
+        for span, js in zip(spans, counts)
+    ]
+    sums = {}
+    for pick in itertools.product(*choices):
+        key = tuple(j for j, _ in pick)
+        rows = [r for _, rs in pick for r in rs]
+        sums[key] = sums.get(key, 0) + det(gm.submatrix(rows, rows))
+    return sums
+
+
+def marked_product(gm: Matrix, spans):
+    """E[prod m_e] over the blocks ``spans`` of G: one row from each block."""
+    k = len(spans)
+    return minor_sums(gm, spans, [(1,)] * k)[(1,) * k]
+
+
 def product_expectation(sys: KasteleynSystem, edge_ids):
-    """E[m_1 ... m_k] for distinct edges via the cycle-trace expansion."""
+    """E[m_1 ... m_k] for distinct edges as a sum of principal minors of G.
+
+    That is prod n_{w_e} determinants of size k; at n = 1 it is Kenyon's
+    k x k determinant.  The cost is exponential in k.
+    """
     edge_ids = list(edge_ids)
-    k = len(edge_ids)
-    if len(set(edge_ids)) != k:
+    if len(set(edge_ids)) != len(edge_ids):
         raise GraphError("product_expectation needs distinct edges")
-    if k > PSI_MAX:
-        raise ValueError(f"psi guard: k = {k} > {PSI_MAX}")
-    total = None
-    trace_cache = {}
-
-    def cycle_trace(cyc):
-        key = tuple(cyc)
-        if key not in trace_cache:
-            trace_cache[key] = cycle_probability_matrix(
-                sys, [edge_ids[i] for i in cyc]
-            ).trace()
-        return trace_cache[key]
-
-    for perm in itertools.permutations(range(k)):
-        cycles = _cycles(perm)
-        sign = -1 if (k - len(cycles)) % 2 else 1
-        term = None
-        for cyc in cycles:
-            tr = cycle_trace(_canonical_rotation(cyc))
-            term = tr if term is None else term * tr
-        term = term if sign == 1 else -term
-        total = term if total is None else total + term
-    return total
-
-
-def _canonical_rotation(cyc):
-    # rotate so the smallest index leads; trace is rotation-invariant
-    i = cyc.index(min(cyc))
-    return cyc[i:] + cyc[:i]
+    return marked_product(*marked_matrix(sys, edge_ids))
 
 
 def covariance(sys: KasteleynSystem, e1: int, e2: int):
@@ -287,64 +293,40 @@ def edge_variable(eid: int) -> str:
 def joint_pgf(sys: KasteleynSystem, edge_ids, max_marked: int = 4) -> MPoly:
     """det(K^{-1} K~) with the marked edges' blocks scaled by formal t_e.
 
-    The result is the joint probability generating function: the
-    coefficient of prod t_e^{k_e} is Pr[m_e = k_e for all marked e].
-    Computed over the polynomial scalar on the sub-block where K^{-1} K~
-    differs from the identity, so the determinant size is the sum of the
-    marked black multiplicities.
+    The coefficient of prod t_e^{k_e} is Pr[m_e = k_e for all marked e];
+    see :func:`joint_distribution`.
+    """
+    edge_ids = list(edge_ids)
+    names = [edge_variable(eid) for eid in edge_ids]
+    dist = joint_distribution(sys, edge_ids, max_marked)
+    return MPoly({tuple((v, k) for v, k in zip(names, key) if k): p for key, p in dist.items()})
+
+
+def joint_distribution(sys: KasteleynSystem, edge_ids, max_marked: int = 4) -> dict:
+    """{multiplicity tuple -> probability} for the marked edges (nonzero only).
+
+    c_j, the coefficient of prod (t_e - 1)^{j_e}, is the sum of principal
+    minors of G from :func:`minor_sums`, for every j with j_e <=
+    min(n_{w_e}, n_{b_e}) (block e has at most that rank, so larger j
+    vanish); then Pr[k] = sum_{j>=k} c_j prod (-1)^(j_e-k_e) C(j_e, k_e).
+    The cost is exponential in the size of G, hence the ``max_marked``
+    guard on the number of marked edges.
     """
     edge_ids = list(edge_ids)
     if len(set(edge_ids)) != len(edge_ids):
         raise GraphError("joint_pgf needs distinct edges")
     if len(edge_ids) > max_marked:
         raise GraphError(f"joint_pgf guard: {len(edge_ids)} > {max_marked} marked edges")
-    if not edge_ids:
-        return MPoly.const(Fraction(1))
-    g = sys.graph
-    # flat black indices where any marked block column lives
-    marked_blacks = []
-    for eid in edge_ids:
-        b = g.edges[eid].black
-        if b not in marked_blacks:
-            marked_blacks.append(b)
-    marked_blacks.sort()
-    spans = {}
-    offset = 0
-    for b in marked_blacks:
-        nb = g.vertices[b].multiplicity
-        spans[b] = (offset, nb)
-        offset += nb
-    size = offset
-    a = [
-        [MPoly.const(Fraction(1)) if r == c else MPoly.const(0) for c in range(size)]
-        for r in range(size)
-    ]
-    for eid in edge_ids:
-        e = g.edges[eid]
-        t = MPoly.var(edge_variable(eid))
-        shift = t - 1
-        block = sys.edge_block(eid)  # n_w x n_b
-        c0, nb = spans[e.black]
-        for b_row in marked_blacks:
-            r0, nr = spans[b_row]
-            contrib = sys.block_inverse(e.white, b_row) @ block  # n_{b_row} x n_b
-            for r in range(nr):
-                for c in range(nb):
-                    if contrib.data[r][c] != 0:
-                        a[r0 + r][c0 + c] = a[r0 + r][c0 + c] + shift * contrib.data[r][c]
-    return det(Matrix(a))
-
-
-def joint_distribution(sys: KasteleynSystem, edge_ids) -> dict:
-    """{multiplicity tuple -> probability} for the marked edges."""
-    edge_ids = list(edge_ids)
-    pgf = joint_pgf(sys, edge_ids)
-    names = [edge_variable(eid) for eid in edge_ids]
-    out = {}
-    for mono, coeff in pgf.coeff_map():
-        key = tuple(mono.get(nm, 0) for nm in names)
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return out
+    caps = [min(sys.graph.edges[eid].weight.shape) for eid in edge_ids]
+    sums = minor_sums(*marked_matrix(sys, edge_ids), [range(c + 1) for c in caps])
+    for e in range(len(edge_ids)):  # the change of basis, one edge at a time
+        out = {}
+        for j, c in sums.items():
+            for k in range(j[e] + 1):
+                key = j[:e] + (k,) + j[e + 1 :]
+                out[key] = out.get(key, 0) + (-1) ** (j[e] - k) * math.comb(j[e], k) * c
+        sums = out
+    return {key: p for key, p in sums.items() if p}
 
 
 def sample_cover(g: EmbeddedGraph, seed: int, cap: int = DEFAULT_COVER_CAP, table=None):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dimerlab.cli import main
-from dimerlab.graph import save_graph
+from dimerlab.graph import graph_to_spec, save_graph
 from dimerlab.linalg import Matrix
 from dimerlab.zoo import grid_graph, uniform_grid
 
@@ -145,6 +145,29 @@ def test_singular_grid_stats_edge_exit_code(tmp_path, capsys):
     rc, out, err = run(capsys, "stats", "--graph", str(path), "--edge", "v0")
     assert rc == 3
     assert "Kasteleyn matrix is singular" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_float_weight_is_input_error(tmp_path, capsys, bad):
+    spec = graph_to_spec(grid_graph(uniform_grid(2, 1)))
+    for e in spec["edges"]:
+        e["weight"] = [[1.0]]
+    spec["edges"][0]["weight"] = [[bad]]
+    path = tmp_path / "float_grid.json"
+    path.write_text(json.dumps(spec))
+    rc, out, err = run(capsys, "stats", "--graph", str(path), "--edge", "v0")
+    assert rc == 2
+    assert "non-finite" in err
+    assert out == ""
+
+
+def test_negative_sample_count_is_input_error(tmp_path, capsys):
+    src = tmp_path / "square.json"
+    run(capsys, "gen", "--gen", "grid", "--N", "1", "--n", "1", "--out", str(src))
+    rc, out, err = run(capsys, "sample", "--count", "-1", str(src))
+    assert rc == 2
+    assert "--count" in err
     assert out == ""
 
 

@@ -16,6 +16,12 @@ def test_parse_exact_and_float():
         parse_scalar(True)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10**400, "nan", "inf"])
+def test_parse_rejects_non_finite(bad):
+    with pytest.raises(ScalarError):
+        parse_scalar(bad)
+
+
 def test_format_round_trip():
     assert parse_scalar(format_scalar(Fraction(7, 3))) == Fraction(7, 3)
     assert format_scalar(0.25) == 0.25
