@@ -27,6 +27,8 @@ from .oracle import DEFAULT_COVER_CAP, oracle_cover_table
 from .scalars import MPoly
 
 PSI_MAX = 8  # k! enumeration guard
+MAX_MINORS = 2**14  # principal minors one minor_sums call may take
+MAX_MARKED = 4  # marked edges in a joint distribution
 
 
 def probability_matrix(sys: KasteleynSystem, eid: int) -> Matrix:
@@ -247,12 +249,15 @@ def minor_sums(gm: Matrix, spans, counts) -> dict:
     ``counts[e]`` lists the j_e to enumerate for the block with rows
     ``spans[e]``.  The sum for j is the coefficient of prod s_e^{j_e} in
     det(I + S G), S = diag(s_e I).  Like a mixed discriminant it costs
-    exponentially many determinants in the size of G.
+    exponentially many determinants in the size of G, hence the
+    ``MAX_MINORS`` guard on their number.
     """
     choices = [
         [(j, rows) for j in js for rows in itertools.combinations(span, j)]
         for span, js in zip(spans, counts)
     ]
+    if math.prod(len(c) for c in choices) > MAX_MINORS:
+        raise GraphError(f"minor guard: more than {MAX_MINORS} principal minors of G")
     sums = {}
     for pick in itertools.product(*choices):
         key = tuple(j for j, _ in pick)
@@ -271,7 +276,8 @@ def product_expectation(sys: KasteleynSystem, edge_ids):
     """E[m_1 ... m_k] for distinct edges as a sum of principal minors of G.
 
     That is prod n_{w_e} determinants of size k; at n = 1 it is Kenyon's
-    k x k determinant.  The cost is exponential in k.
+    k x k determinant.  The cost is exponential in k; more than
+    ``MAX_MINORS`` determinants raise :class:`GraphError`.
     """
     edge_ids = list(edge_ids)
     if len(set(edge_ids)) != len(edge_ids):
@@ -290,7 +296,7 @@ def edge_variable(eid: int) -> str:
     return f"t{eid}"
 
 
-def joint_pgf(sys: KasteleynSystem, edge_ids, max_marked: int = 4) -> MPoly:
+def joint_pgf(sys: KasteleynSystem, edge_ids) -> MPoly:
     """det(K^{-1} K~) with the marked edges' blocks scaled by formal t_e.
 
     The coefficient of prod t_e^{k_e} is Pr[m_e = k_e for all marked e];
@@ -298,25 +304,25 @@ def joint_pgf(sys: KasteleynSystem, edge_ids, max_marked: int = 4) -> MPoly:
     """
     edge_ids = list(edge_ids)
     names = [edge_variable(eid) for eid in edge_ids]
-    dist = joint_distribution(sys, edge_ids, max_marked)
+    dist = joint_distribution(sys, edge_ids)
     return MPoly({tuple((v, k) for v, k in zip(names, key) if k): p for key, p in dist.items()})
 
 
-def joint_distribution(sys: KasteleynSystem, edge_ids, max_marked: int = 4) -> dict:
+def joint_distribution(sys: KasteleynSystem, edge_ids) -> dict:
     """{multiplicity tuple -> probability} for the marked edges (nonzero only).
 
     c_j, the coefficient of prod (t_e - 1)^{j_e}, is the sum of principal
     minors of G from :func:`minor_sums`, for every j with j_e <=
     min(n_{w_e}, n_{b_e}) (block e has at most that rank, so larger j
     vanish); then Pr[k] = sum_{j>=k} c_j prod (-1)^(j_e-k_e) C(j_e, k_e).
-    The cost is exponential in the size of G, hence the ``max_marked``
+    The cost is exponential in the size of G, hence the ``MAX_MARKED``
     guard on the number of marked edges.
     """
     edge_ids = list(edge_ids)
     if len(set(edge_ids)) != len(edge_ids):
         raise GraphError("joint_pgf needs distinct edges")
-    if len(edge_ids) > max_marked:
-        raise GraphError(f"joint_pgf guard: {len(edge_ids)} > {max_marked} marked edges")
+    if len(edge_ids) > MAX_MARKED:
+        raise GraphError(f"joint_pgf guard: {len(edge_ids)} > {MAX_MARKED} marked edges")
     caps = [min(sys.graph.edges[eid].weight.shape) for eid in edge_ids]
     sums = minor_sums(*marked_matrix(sys, edge_ids), [range(c + 1) for c in caps])
     for e in range(len(edge_ids)):  # the change of basis, one edge at a time

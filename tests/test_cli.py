@@ -74,6 +74,16 @@ def test_transposed_oracle_negative_control(tmp_path, capsys):
     rc, out, _ = run(capsys, "verify", "--graph", str(path), "--transposed-oracle")
     assert rc == 1
     assert "verdict: FAIL" in out
+    assert "FAIL  E[m" in out  # the pair checks read from G see it too
+
+
+def test_oversized_product_is_input_error(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    run(capsys, "gen", "--gen", "grid", "--N", "8", "--n", "2", "--seed", "1", "--out", str(path))
+    group = ",".join(str(i) for i in range(15))  # 2^15 minors of G
+    rc, _, err = run(capsys, "stats", "--graph", str(path), "--product", group)
+    assert rc == 2
+    assert "minor guard" in err
 
 
 def test_move_square_emits_file_and_factor(tmp_path, capsys):

@@ -169,9 +169,3 @@ def test_verify_passes_on_certify_graphs(tmp_path, capsys):
         assert "verdict: PASS" in out
         pairs = len(g.edges) * (len(g.edges) - 1) // 2
         assert out.count("PASS  E[m") == pairs
-
-
-def test_verify_transposed_oracle_fails(tmp_path, capsys):
-    rc, out = run_verify(tmp_path, capsys, certify_graphs()[1], "--transposed-oracle")
-    assert rc == 1
-    assert "verdict: FAIL" in out
