@@ -39,7 +39,6 @@ from .linalg import (
     det,
     inverse,
     minor,
-    schur,
 )
 from .moves import (
     MoveCertificate,

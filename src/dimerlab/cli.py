@@ -3,8 +3,9 @@
 Subcommands: stats, verify, move, sample, gen.  Exact values print as
 "p/q" with a 12-significant-digit decimal alongside; floats print bare.
 Exit codes: 0 success/pass, 1 verification failure, 2 input error,
-3 numerical error (singular matrix).  DIMERLAB_ORACLE_CAP overrides the
-cover-enumeration cap (colorings cap scales 10x).
+3 numerical error (singular matrix).  DIMERLAB_ORACLE_CAP sets the
+oracle's cover-enumeration cap for verify and sample (default 10^6); a
+graph with more covers is an input error.
 """
 
 from __future__ import annotations

@@ -244,9 +244,6 @@ class EmbeddedGraph:
 
     # -- edits (used by local moves; return new graphs) ----------------------
 
-    def with_edges(self, new_edges, edge_labels=None, connection="keep"):
-        return self.replace(edges=new_edges, edge_labels=edge_labels, connection=connection)
-
     def replace(
         self,
         vertices=None,

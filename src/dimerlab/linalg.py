@@ -3,11 +3,10 @@
 Everything the statistics formulas need lives here: one pivoted LU
 elimination over a field on sparse dict rows (determinants, inverses and
 single column solves all go through it), a division-free
-determinant for polynomial entries (Bird's algorithm), minors, Schur
-complements in general position, and characteristic-polynomial
-coefficients via Newton's identities.  Entries are whatever the scalar
-backend supplies; no floating-point shortcuts are ever taken on exact
-input.
+determinant for polynomial entries (Bird's algorithm), minors and
+characteristic-polynomial coefficients via Newton's identities.  Entries
+are whatever the scalar backend supplies; no floating-point shortcuts are
+ever taken on exact input.
 """
 
 from __future__ import annotations
@@ -359,26 +358,6 @@ def adjugate(m: Matrix) -> Matrix:
             cof = det(sub)
             out[i][j] = cof if (i + j) % 2 == 0 else -cof
     return Matrix(out)
-
-
-def schur(m: Matrix, block_rows, block_cols) -> Matrix:
-    """Schur complement with respect to the square block D = m[I, J].
-
-    Returns A - B D^{-1} C on the complementary rows and columns; general
-    position is handled by index bookkeeping rather than explicit
-    permutation matrices.
-    """
-    block_rows = sorted(block_rows)
-    block_cols = sorted(block_cols)
-    if len(block_rows) != len(block_cols):
-        raise ShapeError("Schur block must be square")
-    rest_rows = [i for i in range(m.rows) if i not in set(block_rows)]
-    rest_cols = [j for j in range(m.cols) if j not in set(block_cols)]
-    d = m.submatrix(block_rows, block_cols)
-    a = m.submatrix(rest_rows, rest_cols)
-    b = m.submatrix(rest_rows, block_cols)
-    c = m.submatrix(block_rows, rest_cols)
-    return a - b @ inverse(d) @ c
 
 
 def char_coeffs(m: Matrix):

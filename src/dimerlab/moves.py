@@ -7,16 +7,20 @@ Z(before).  Leaf trimming, parallel reduction and contraction have factor
 the square move's factor is |det [[A, B], [-D, C]]| of the new weights.
 
 Moves carry the sign connection across the rewrite instead of re-solving
-blindly: contraction negates the signs on the merged-away vertex's other
-edges (the Schur bookkeeping), and new cilia are chosen so the carried
-connection stays face-valid.  That keeps both the determinant identity
-and the enumeration oracle exact on either side of the move.
+blindly.  A move starts from the graph's own connection, or from
+``solve_signs`` when the graph has none (leaf trimming carries one only
+when the graph has one).  Contraction negates the signs on the
+merged-away vertex's other edges (the Schur bookkeeping).  Every move
+builds its result in ``_rewrite``, which re-checks the carried connection
+and, only when the face rule rejects it, searches the cilia at the
+vertices the move names.  That keeps both the determinant identity and
+the enumeration oracle exact on either side of the move.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graph import BLACK, WHITE, Edge, EmbeddedGraph, GraphError, Vertex
@@ -70,23 +74,92 @@ def _edit_rotation(rotation, cilium, remove, insert_at=None, insert=()):
     return new_rotation, new_cilium
 
 
-def _transfer_witness(g: EmbeddedGraph, surviving_vertices, surviving_edges):
+def _transfer_witness(g: EmbeddedGraph, dropped_vertices, dropped_edges):
     """A dart of the old outer face that survives the rewrite."""
     if g.outer_witness is None:
         return None
     outer = g.faces[g.outer_face]
     for (vid, slot), eid in zip(outer.darts, outer.edge_ids):
-        if vid in surviving_vertices and eid in surviving_edges:
+        if vid not in dropped_vertices and eid not in dropped_edges:
             return (eid, g.vertices[vid].color)
     return None
 
 
-def _current_eps(g: EmbeddedGraph, eps):
-    if eps is not None:
-        return dict(eps)
-    if g.connection is not None:
-        return dict(g.connection)
-    return solve_signs(g)
+def _choose_valid_cilia(g: EmbeddedGraph, eps, candidates):
+    """Search cilium corners at the given vertices for face validity.
+
+    Returns the graph with the first assignment under which the carried
+    connection satisfies the bounded-face parity rule, or None.
+    """
+    ids = list(candidates)
+    ranges = [range(g.vertices[vid].degree) for vid in ids]
+    for combo in itertools.product(*ranges):
+        cilia = dict(zip(ids, combo))
+        verts = [
+            replace(v, cilium=cilia[v.id]) if v.id in cilia else v for v in g.vertices.values()
+        ]
+        trial = g.replace(vertices=verts)
+        if connection_is_valid(trial, eps):
+            return trial
+    return None
+
+
+def _rewrite(
+    g: EmbeddedGraph,
+    kind,
+    factor,
+    details,
+    connection,
+    drop_vertices=(),
+    drop_edges=(),
+    vertices=None,
+    edges=None,
+    add_vertices=(),
+    add_edges=(),
+    pendants=None,
+    witness=None,
+    cilia_at=(),
+):
+    """Apply a move's edits to ``g`` and certify the result.
+
+    ``vertices``/``edges`` map ids to replacements kept in place and
+    ``add_vertices``/``add_edges`` are appended.  Every surviving vertex
+    loses the rotation slots of ``drop_edges``; ``pendants`` maps a vertex
+    to the edge inserted where its first dropped slot was.  ``connection``
+    loses the dropped edges; when it is no longer face-valid, the cilia
+    at ``cilia_at`` are searched from corner 0.  ``witness`` defaults to
+    the first surviving dart of the old outer face.
+    """
+    drop_vertices, drop_edges = set(drop_vertices), set(drop_edges)
+    vertices, edges, pendants = vertices or {}, edges or {}, pendants or {}
+    new_vertices = []
+    for v in g.vertices.values():
+        if v.id in drop_vertices:
+            continue
+        w = vertices.get(v.id, v)
+        slots = [i for i, eid in enumerate(w.rotation) if eid in drop_edges]
+        if slots:
+            insert = [pendants[w.id]] if w.id in pendants else []
+            rot, cil = _edit_rotation(w.rotation, w.cilium, slots, min(slots), insert)
+            w = replace(w, rotation=rot, cilium=cil)
+        if w is not v and not w.rotation:
+            raise MoveError(f"{kind} would isolate vertex {w.id}")
+        new_vertices.append(w)
+    new_edges = [edges.get(e.id, e) for e in g.edges.values() if e.id not in drop_edges]
+    if connection is not None:
+        connection = {k: s for k, s in connection.items() if k not in drop_edges}
+    after = EmbeddedGraph(
+        new_vertices + list(add_vertices),
+        new_edges + list(add_edges),
+        outer_witness=witness or _transfer_witness(g, drop_vertices, drop_edges),
+        edge_labels={k: x for k, x in g.edge_labels.items() if x not in drop_edges},
+        connection=connection,
+    )
+    if connection and not connection_is_valid(after, connection):
+        after = _choose_valid_cilia(after, connection, cilia_at)
+        if after is None:
+            raise MoveError(f"{kind}: no cilium placement keeps the carried connection face-valid")
+    return after, MoveCertificate(kind=kind, before=g, after=after, factor=factor, details=details)
 
 
 def gauge(g: EmbeddedGraph, vertex_id: int, m: Matrix) -> EmbeddedGraph:
@@ -111,7 +184,7 @@ def gauge(g: EmbeddedGraph, vertex_id: int, m: Matrix) -> EmbeddedGraph:
         elif v.color == WHITE and e.white == vertex_id:
             e = Edge(e.id, e.white, e.black, m @ e.weight, e.label)
         new_edges.append(e)
-    return g.with_edges(new_edges)
+    return g.replace(edges=new_edges)
 
 
 def gauge_certificate(g: EmbeddedGraph, vertex_id: int, m: Matrix) -> MoveCertificate:
@@ -185,42 +258,14 @@ def leaf_trim(g: EmbeddedGraph, edge_id: int):
     d = det(e.weight)
     if d == 0:
         raise SingularMatrixError("pendant weight is singular")
-    removed_edges = set(g.vertices[center].rotation)
-    removed_vertices = {leaf, center}
-    new_vertices = []
-    for v in g.vertices.values():
-        if v.id in removed_vertices:
-            continue
-        slots = [i for i, eid in enumerate(v.rotation) if eid in removed_edges]
-        if slots:
-            if len(slots) == v.degree:
-                raise MoveError(f"trim would isolate vertex {v.id}")
-            rot, cil = _edit_rotation(v.rotation, v.cilium, slots)
-            v = Vertex(v.id, v.color, v.multiplicity, rot, cil, v.label)
-        new_vertices.append(v)
-    new_edges = [x for x in g.edges.values() if x.id not in removed_edges]
-    eps = _current_eps(g, None) if g.connection is not None else None
-    after = EmbeddedGraph(
-        new_vertices,
-        new_edges,
-        outer_witness=_transfer_witness(
-            g, set(g.vertices) - removed_vertices, set(g.edges) - removed_edges
-        ),
-        edge_labels={k: v for k, v in g.edge_labels.items() if v not in removed_edges},
-        connection={k: v for k, v in eps.items() if k not in removed_edges} if eps else None,
-    )
-    factor = Fraction(1) if e.weight.is_identity() else 1 / _abs(d)
-    return after, MoveCertificate(
-        kind="leaf_trim",
-        before=g,
-        after=after,
-        factor=factor,
-        details={
-            "edge": edge_id,
-            "leaf": leaf,
-            "center": center,
-            "touched_vertices": removed_vertices,
-        },
+    return _rewrite(
+        g,
+        "leaf_trim",
+        Fraction(1) if e.weight.is_identity() else 1 / _abs(d),
+        {"edge": edge_id, "leaf": leaf, "center": center, "touched_vertices": {leaf, center}},
+        g.connection,
+        drop_vertices={leaf, center},
+        drop_edges=g.vertices[center].rotation,
     )
 
 
@@ -235,7 +280,7 @@ def _consecutive_run(slots, degree):
     return None
 
 
-def parallel_reduce(g: EmbeddedGraph, white: int, black: int, eps=None):
+def parallel_reduce(g: EmbeddedGraph, white: int, black: int):
     """Merge all parallel edges between a pair into one summed edge.
 
     The kept edge's weight becomes eps(e_1) * sum_t eps(e_t) wt(e_t) and
@@ -248,95 +293,41 @@ def parallel_reduce(g: EmbeddedGraph, white: int, black: int, eps=None):
     family = g.parallel_family(white, black)
     if len(family) < 2:
         raise MoveError(f"fewer than 2 parallel edges between {white} and {black}")
-    eps = _current_eps(g, eps)
+    eps = g.connection or solve_signs(g)
     runs = {}
     for vid in (white, black):
-        v = g.vertices[vid]
         slots = [g.slot_of(vid, eid) for eid in family]
-        run = _consecutive_run(slots, v.degree)
-        if run is None:
+        runs[vid] = _consecutive_run(slots, g.vertices[vid].degree)
+        if runs[vid] is None:
             raise MoveError(f"parallel edges are not rotation-consecutive at vertex {vid}")
-        runs[vid] = run
     # keep the first edge of the run at the white endpoint
-    order = [g.vertices[white].rotation[s] for s in runs[white]]
-    keep = order[0]
-    drop = [eid for eid in order[1:]]
-    total = None
-    for eid in order:
-        contrib = g.edges[eid].weight * eps[eid]
-        total = contrib if total is None else total + contrib
-    new_weight = total * eps[keep]
-    new_vertices = []
-    dropset = set(drop)
-    for v in g.vertices.values():
-        if v.id in (white, black):
-            slots = [i for i, eid in enumerate(v.rotation) if eid in dropset]
-            rot, cil = _edit_rotation(v.rotation, v.cilium, slots)
-            v = Vertex(v.id, v.color, v.multiplicity, rot, cil, v.label)
-        new_vertices.append(v)
-    old = g.edges[keep]
-    new_edges = [
-        Edge(keep, old.white, old.black, new_weight, old.label)
-        if x.id == keep
-        else x
-        for x in g.edges.values()
-        if x.id not in dropset
-    ]
+    keep, *drop = (g.vertices[white].rotation[s] for s in runs[white])
+    total = g.edges[keep].weight * eps[keep]
+    for eid in drop:
+        total = total + g.edges[eid].weight * eps[eid]
     witness = g.outer_witness
-    if witness is not None and witness[0] in dropset:
+    if witness is not None and witness[0] in drop:
         witness = (keep, witness[1])
-    carried = {k: s for k, s in eps.items() if k not in dropset}
-    after = EmbeddedGraph(
-        new_vertices,
-        new_edges,
-        outer_witness=witness,
-        edge_labels={k: v for k, v in g.edge_labels.items() if v not in dropset},
-        connection=carried,
-    )
-    if not connection_is_valid(after, carried):
-        fixed = _choose_valid_cilia(after, carried, [white, black])
-        if fixed is None:
-            raise MoveError(
-                "no cilium placement keeps the carried connection face-valid"
-            )
-        after = fixed
-    return after, MoveCertificate(
-        kind="parallel_reduce",
-        before=g,
-        after=after,
-        factor=Fraction(1),
-        details={
+    return _rewrite(
+        g,
+        "parallel_reduce",
+        Fraction(1),
+        {
             "white": white,
             "black": black,
             "kept": keep,
             "dropped": drop,
             "touched_vertices": {white, black},
         },
+        eps,
+        drop_edges=drop,
+        edges={keep: replace(g.edges[keep], weight=total * eps[keep])},
+        witness=witness,
+        cilia_at=(white, black),
     )
 
 
-def _choose_valid_cilia(g: EmbeddedGraph, eps, candidates):
-    """Search cilium corners at the given vertices for face validity.
-
-    Returns the graph with the first assignment under which the carried
-    connection satisfies the bounded-face parity rule, or None.
-    """
-    ids = list(candidates)
-    ranges = [range(g.vertices[vid].degree) for vid in ids]
-    for combo in itertools.product(*ranges):
-        verts = []
-        for v in g.vertices.values():
-            if v.id in ids:
-                c = combo[ids.index(v.id)]
-                v = Vertex(v.id, v.color, v.multiplicity, v.rotation, c, v.label)
-            verts.append(v)
-        trial = g.replace(vertices=verts)
-        if connection_is_valid(trial, eps):
-            return trial
-    return None
-
-
-def contract(g: EmbeddedGraph, center_id: int, eps=None):
+def contract(g: EmbeddedGraph, center_id: int):
     """Contract a degree-2 vertex with identity edges; merge its neighbors.
 
     The merged vertex keeps the second neighbor's id; signs on the first
@@ -356,66 +347,45 @@ def contract(g: EmbeddedGraph, center_id: int, eps=None):
         raise MoveError("contraction with coincident neighbors is not supported")
     if not (e1.weight.is_identity() and e2.weight.is_identity()):
         raise MoveError("contraction edges must carry the identity (gauge first)")
-    eps = _current_eps(g, eps)
+    eps = g.connection or solve_signs(g)
     vu1, vu2 = g.vertices[u1], g.vertices[u2]
     # rotation splice: u1's edges after e1, then u2's edges after e2 (ccw)
     s1 = g.slot_of(u1, e1_id)
     s2 = g.slot_of(u2, e2_id)
     part1 = [vu1.rotation[(s1 + t) % vu1.degree] for t in range(1, vu1.degree)]
     part2 = [vu2.rotation[(s2 + t) % vu2.degree] for t in range(1, vu2.degree)]
-    merged_rot = tuple(part1 + part2)
-    if not merged_rot:
-        raise MoveError("contraction would isolate the merged vertex")
-    merged = Vertex(u2, vu2.color, vu2.multiplicity, merged_rot, 0, vu2.label)
-    removed_edges = {e1_id, e2_id}
-    new_eps = {}
-    new_edges = []
+    merged = replace(vu2, rotation=tuple(part1 + part2), cilium=0)
     # Schur bookkeeping: the merged row/column is row(u2) - s1 s2 row(u1),
     # so u1's surviving edges pick up the factor -eps(e1) eps(e2)
     twist = -eps[e1_id] * eps[e2_id]
     flipped = set(part1)
+    carried = {eid: eps[eid] * twist if eid in flipped else eps[eid] for eid in g.edges}
+    moved = {}
     for e in g.edges.values():
-        if e.id in removed_edges:
-            continue
-        s = eps[e.id]
-        if e.id in flipped:
-            s = s * twist
         if e.white == u1:
-            e = Edge(e.id, u2, e.black, e.weight, e.label)
+            moved[e.id] = replace(e, white=u2)
         elif e.black == u1:
-            e = Edge(e.id, e.white, u2, e.weight, e.label)
-        new_edges.append(e)
-        new_eps[e.id] = s
-    new_vertices = [merged if w.id == u2 else w for w in g.vertices.values() if w.id not in (center_id, u1)]
-    after = EmbeddedGraph(
-        new_vertices,
-        new_edges,
-        outer_witness=_transfer_witness(
-            g, set(g.vertices) - {center_id, u1}, set(g.edges) - removed_edges
-        ),
-        edge_labels={k: x for k, x in g.edge_labels.items() if x not in removed_edges},
-        connection=new_eps,
-    )
-    fixed = _choose_valid_cilia(after, new_eps, [u2])
-    if fixed is None:
-        # never hand back a graph whose carried connection the face rule rejects
-        raise MoveError("no merged-vertex cilium keeps the carried connection face-valid")
-    after = fixed
-    return after, MoveCertificate(
-        kind="contract",
-        before=g,
-        after=after,
-        factor=Fraction(1),
-        details={
+            moved[e.id] = replace(e, black=u2)
+    return _rewrite(
+        g,
+        "contract",
+        Fraction(1),
+        {
             "center": center_id,
             "merged_into": u2,
             "absorbed": u1,
             "touched_vertices": {center_id, u1, u2},
         },
+        carried,
+        drop_vertices={center_id, u1},
+        drop_edges={e1_id, e2_id},
+        vertices={u2: merged},
+        edges=moved,
+        cilia_at=(u2,),
     )
 
 
-def square_move(g: EmbeddedGraph, face_id: int, eps=None):
+def square_move(g: EmbeddedGraph, face_id: int):
     """The square (urban renewal / spider) move on a bounded quad face.
 
     Colors on the face swap; each original vertex is pushed outward and
@@ -435,14 +405,15 @@ def square_move(g: EmbeddedGraph, face_id: int, eps=None):
     verts_on_face = [vid for vid, _ in face.darts]
     if len(set(verts_on_face)) != 4:
         raise MoveError("square move needs 4 distinct corner vertices")
-    eps = _current_eps(g, eps)
+    eps = g.connection or solve_signs(g)
     # start the dart walk at a white corner: edges then read a, b, c, d
     start = next(i for i, vid in enumerate(verts_on_face) if g.vertices[vid].color == WHITE)
     darts = face.darts[start:] + face.darts[:start]
     eids = face.edge_ids[start:] + face.edge_ids[:start]
-    w_tl, b_bl, w_br, b_tr = (vid for vid, _ in darts)
+    corners = tuple(vid for vid, _ in darts)
+    w_tl, b_bl, w_br, b_tr = corners
     ea, eb, ec, ed = eids
-    mults = {g.vertices[x].multiplicity for x in (w_tl, b_bl, w_br, b_tr)}
+    mults = {g.vertices[x].multiplicity for x in corners}
     if len(mults) != 1:
         raise MoveError("square move needs equal multiplicities on the face")
     n = mults.pop()
@@ -455,7 +426,7 @@ def square_move(g: EmbeddedGraph, face_id: int, eps=None):
     f_tr = f_br ^ want[2]
     if (f_tr ^ f_tl) != want[3]:
         raise MoveError("face sign product is not -1; invalid connection for a square move")
-    flips = [v for v, f in zip((w_tl, b_bl, w_br, b_tr), (f_tl, f_bl, f_br, f_tr)) if f]
+    flips = [v for v, f in zip(corners, (f_tl, f_bl, f_br, f_tr)) if f]
     eps = flip_coboundary(eps, g, flips)
     a_p = g.edges[ea].weight * eps[ea]
     b_p = g.edges[eb].weight * eps[eb]
@@ -468,106 +439,62 @@ def square_move(g: EmbeddedGraph, face_id: int, eps=None):
         nd = inverse(d_p + a_p @ inverse(b_p) @ c_p)
     except SingularMatrixError as exc:
         raise SingularMatrixError(f"square move needs invertible weights: {exc}") from exc
-    next_vid = max(g.vertices) + 1
-    next_eid = max(g.edges) + 1
-    inner_of = {}
-    for vid in (w_tl, b_bl, w_br, b_tr):
-        old = g.vertices[vid]
-        inner_of[vid] = Vertex(
-            next_vid,
-            BLACK if old.color == WHITE else WHITE,
-            n,
-            (),  # rotation filled below
-            0,
-        )
-        next_vid += 1
-    pend = {}
-    for vid in (w_tl, b_bl, w_br, b_tr):
-        outer_v = g.vertices[vid]
-        inner_v = inner_of[vid]
-        white_id = outer_v.id if outer_v.color == WHITE else inner_v.id
-        black_id = inner_v.id if outer_v.color == WHITE else outer_v.id
-        pend[vid] = Edge(next_eid, white_id, black_id, Matrix.identity(n))
-        next_eid += 1
-    ia = Edge(next_eid, inner_of[b_bl].id, inner_of[w_tl].id, na)
-    ib = Edge(next_eid + 1, inner_of[b_bl].id, inner_of[w_br].id, nb)
-    ic = Edge(next_eid + 2, inner_of[b_tr].id, inner_of[w_br].id, nc)
-    idd = Edge(next_eid + 3, inner_of[b_tr].id, inner_of[w_tl].id, nd)
-    quad_edges = {ea, eb, ec, ed}
-    new_eps = {eid: s for eid, s in eps.items() if eid not in quad_edges}
-    # pendant at original whites: +1; at new whites: -1; inner D-edge: -1
-    new_eps[pend[w_tl].id] = 1
-    new_eps[pend[w_br].id] = 1
-    new_eps[pend[b_bl].id] = -1
-    new_eps[pend[b_tr].id] = -1
-    new_eps[ia.id] = 1
-    new_eps[ib.id] = 1
-    new_eps[ic.id] = 1
-    new_eps[idd.id] = -1
-    # inner rotations, ccw, from the Table-1 picture
-    def with_rot(v: Vertex, rot):
-        return Vertex(v.id, v.color, v.multiplicity, tuple(rot), v.cilium, v.label)
-
-    inner_vertices = [
-        with_rot(inner_of[w_tl], [idd.id, pend[w_tl].id, ia.id]),
-        with_rot(inner_of[b_bl], [ib.id, ia.id, pend[b_bl].id]),
-        with_rot(inner_of[w_br], [ic.id, ib.id, pend[w_br].id]),
-        with_rot(inner_of[b_tr], [pend[b_tr].id, idd.id, ic.id]),
+    vid0, eid0 = max(g.vertices) + 1, max(g.edges) + 1
+    inner = {vid: vid0 + i for i, vid in enumerate(corners)}
+    pend = {vid: eid0 + i for i, vid in enumerate(corners)}
+    ia, ib, ic, idd = range(eid0 + 4, eid0 + 8)
+    new_edges = [
+        Edge(pend[w_tl], w_tl, inner[w_tl], Matrix.identity(n)),
+        Edge(pend[b_bl], inner[b_bl], b_bl, Matrix.identity(n)),
+        Edge(pend[w_br], w_br, inner[w_br], Matrix.identity(n)),
+        Edge(pend[b_tr], inner[b_tr], b_tr, Matrix.identity(n)),
+        Edge(ia, inner[b_bl], inner[w_tl], na),
+        Edge(ib, inner[b_bl], inner[w_br], nb),
+        Edge(ic, inner[b_tr], inner[w_br], nc),
+        Edge(idd, inner[b_tr], inner[w_tl], nd),
     ]
-    new_vertices = []
-    for v in g.vertices.values():
-        if v.id in inner_of:
-            quad_slots = sorted(
-                g.slot_of(v.id, eid) for eid in v.rotation if eid in quad_edges
-            )
-            run = _consecutive_run(quad_slots, v.degree)
-            if run is None:
-                raise MoveError(f"quad edges not adjacent in rotation at vertex {v.id}")
-            rot, cil = _edit_rotation(
-                v.rotation, v.cilium, quad_slots, insert_at=min(run), insert=[pend[v.id].id]
-            )
-            v = Vertex(v.id, v.color, v.multiplicity, rot, cil, v.label)
-        new_vertices.append(v)
-    new_vertices.extend(inner_vertices)
-    new_edges = [e for e in g.edges.values() if e.id not in quad_edges]
-    new_edges.extend([pend[w_tl], pend[b_bl], pend[w_br], pend[b_tr], ia, ib, ic, idd])
-    witness = _transfer_witness(g, set(g.vertices), set(g.edges) - quad_edges)
-    if witness is None:
-        # the whole graph was the quad; the outer face zigzags the pendants
-        witness = (pend[w_tl].id, WHITE)
-    after = EmbeddedGraph(
-        new_vertices,
-        new_edges,
-        outer_witness=witness,
-        edge_labels={k: x for k, x in g.edge_labels.items() if x not in quad_edges},
-        connection=new_eps,
-    )
-    fixed = _choose_valid_cilia(after, new_eps, [v.id for v in inner_vertices])
-    if fixed is None:
-        raise MoveError("no inner-vertex cilia keep the carried connection face-valid")
-    after = fixed
-    factor_mat = BlockMatrix.from_blocks([[na, nb], [-nd, nc]]).mat
-    factor = _abs(det(factor_mat))
-    return after, MoveCertificate(
-        kind="square",
-        before=g,
-        after=after,
-        factor=factor,
-        details={
+    # inner rotations, ccw, from the Table-1 picture
+    rotations = {
+        w_tl: (idd, pend[w_tl], ia),
+        b_bl: (ib, ia, pend[b_bl]),
+        w_br: (ic, ib, pend[w_br]),
+        b_tr: (pend[b_tr], idd, ic),
+    }
+    inner_vertices = [
+        Vertex(inner[v], color, n, rotations[v], 0)
+        for v, color in zip(corners, (BLACK, WHITE, BLACK, WHITE))
+    ]
+    # pendant at original whites: +1; at new whites: -1; inner D-edge: -1
+    carried = dict(eps)
+    carried.update({pend[w_tl]: 1, pend[w_br]: 1, pend[b_bl]: -1, pend[b_tr]: -1})
+    carried.update({ia: 1, ib: 1, ic: 1, idd: -1})
+    factor = _abs(det(BlockMatrix.from_blocks([[na, nb], [-nd, nc]]).mat))
+    return _rewrite(
+        g,
+        "square",
+        factor,
+        {
             "face": face_id,
             "new_weights": {"A": na, "B": nb, "C": nc, "D": nd},
             "frame": {"a": a_p, "b": b_p, "c": c_p, "d": d_p},
-            "pendants": {vid: pend[vid].id for vid in pend},
-            "touched_vertices": {w_tl, b_bl, w_br, b_tr}
-            | {v.id for v in inner_vertices},
+            "pendants": pend,
+            "touched_vertices": set(corners) | set(inner.values()),
         },
+        carried,
+        drop_edges=eids,
+        add_vertices=inner_vertices,
+        add_edges=new_edges,
+        pendants=pend,
+        # if the whole graph was the quad, the outer face zigzags the pendants
+        witness=_transfer_witness(g, (), eids) or (pend[w_tl], WHITE),
+        cilia_at=inner.values(),
     )
 
 
-def verify_move_invariance(g: EmbeddedGraph, g2: EmbeddedGraph, edge_ids, eps=None, eps2=None):
+def verify_move_invariance(g: EmbeddedGraph, g2: EmbeddedGraph, edge_ids):
     """Check P_e equality across a move for edges untouched by it."""
-    sys1 = assemble(g, eps)
-    sys2 = assemble(g2, eps2)
+    sys1 = assemble(g)
+    sys2 = assemble(g2)
     report = {}
     for eid in edge_ids:
         p1 = probability_matrix(sys1, eid)

@@ -274,6 +274,14 @@ def oracle_partition(g: EmbeddedGraph, cap: int = DEFAULT_COVER_CAP, transpose_m
     return z
 
 
+def _measure(g: EmbeddedGraph, cap: int, table):
+    """(covers, weights, Z) from ``table`` or a fresh enumeration; Z must be nonzero."""
+    covers, weights, z = table if table is not None else oracle_cover_table(g, cap=cap)
+    if z == 0:
+        raise GraphError("oracle partition function is zero; no probability measure")
+    return covers, weights, z
+
+
 def oracle_distribution(g: EmbeddedGraph, eid: int, cap: int = DEFAULT_COVER_CAP, table=None):
     """Exact pmf of one edge multiplicity as a list Pr[m = 0..n_b].
 
@@ -281,9 +289,7 @@ def oracle_distribution(g: EmbeddedGraph, eid: int, cap: int = DEFAULT_COVER_CAP
     probability-matrix route (P_e is n_b x n_b); entries beyond
     min(n_w, n_b) are structural zeros.
     """
-    covers, weights, z = table if table is not None else oracle_cover_table(g, cap=cap)
-    if z == 0:
-        raise GraphError("oracle partition function is zero; no probability measure")
+    covers, weights, z = _measure(g, cap, table)
     e = g.edges[eid]
     n_e = g.vertices[e.black].multiplicity
     masses = [Fraction(0)] * (n_e + 1)
@@ -296,9 +302,7 @@ def oracle_product_expectation(
     g: EmbeddedGraph, edge_ids, cap: int = DEFAULT_COVER_CAP, table=None
 ):
     """E[prod m_e] over the listed edges (repeats allowed: plain moments)."""
-    covers, weights, z = table if table is not None else oracle_cover_table(g, cap=cap)
-    if z == 0:
-        raise GraphError("oracle partition function is zero; no probability measure")
+    covers, weights, z = _measure(g, cap, table)
     acc = Fraction(0)
     for cover, w in zip(covers, weights):
         prod = w
@@ -309,10 +313,5 @@ def oracle_product_expectation(
 
 
 def oracle_moment(g: EmbeddedGraph, eid: int, power: int, cap: int = DEFAULT_COVER_CAP, table=None):
-    covers, weights, z = table if table is not None else oracle_cover_table(g, cap=cap)
-    if z == 0:
-        raise GraphError("oracle partition function is zero; no probability measure")
-    acc = Fraction(0)
-    for cover, w in zip(covers, weights):
-        acc = acc + w * cover.get(eid, 0) ** power
-    return acc / z
+    """E[m_e^power]: the product expectation of ``power`` copies of one edge."""
+    return oracle_product_expectation(g, [eid] * power, cap=cap, table=table)

@@ -141,10 +141,6 @@ class MPoly:
         key = tuple(sorted((v, e) for v, e in monomial.items() if e))
         return self.terms.get(key, Fraction(0))
 
-    def coeff_map(self):
-        """All terms as ``(monomial dict, coeff)`` pairs."""
-        return [(dict(mono), c) for mono, c in self.terms.items()]
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):

@@ -13,7 +13,6 @@ from dimerlab.linalg import (
     det,
     inverse,
     minor,
-    schur,
 )
 from dimerlab.scalars import MPoly
 
@@ -65,44 +64,6 @@ def test_minor_conventions():
 def test_minor_size_mismatch():
     with pytest.raises(ShapeError):
         minor(Matrix.identity(3), [0, 1], [0])
-
-
-def test_schur_trivial_block():
-    rng = random.Random(2)
-    a = rand_matrix(rng, 2, 2)
-    m = BlockMatrix.from_blocks([[a, Matrix.zeros(2, 2)], [rand_matrix(rng, 2, 2), Matrix.identity(2)]]).mat
-    assert schur(m, [2, 3], [2, 3]) == a
-
-
-def test_schur_reduction_formula_and_block_inverse():
-    rng = random.Random(3)
-    for _ in range(5):
-        m = rand_matrix(rng, 4, 4)
-        d = m.submatrix([2, 3], [2, 3])
-        if det(d) == 0 or det(m) == 0:
-            continue
-        s = schur(m, [2, 3], [2, 3])
-        assert det(m) == det(d) * det(s)
-        top_left = inverse(m).submatrix([0, 1], [0, 1])
-        assert top_left == inverse(s)
-
-
-def test_schur_general_position():
-    rng = random.Random(4)
-    m = rand_matrix(rng, 4, 4)
-    # permuting the block to the corner must agree with direct indexing
-    rows, cols = [1, 3], [0, 2]
-    d = m.submatrix(rows, cols)
-    if det(d) == 0:
-        return
-    s = schur(m, rows, cols)
-    rest_r = [0, 2]
-    rest_c = [1, 3]
-    expect = (
-        m.submatrix(rest_r, rest_c)
-        - m.submatrix(rest_r, cols) @ inverse(d) @ m.submatrix(rows, rest_c)
-    )
-    assert s == expect
 
 
 def test_char_coeffs_binomials_and_edge_cases():

@@ -1,10 +1,13 @@
+import hashlib
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from dimerlab.graph import EmbeddedGraph, Edge, Vertex, validate
-from dimerlab.kasteleyn import assemble
+from dimerlab.graph import EmbeddedGraph, Edge, Vertex, graph_to_spec, validate
+from dimerlab.kasteleyn import assemble, solve_signs
 from dimerlab.linalg import BlockMatrix, Matrix, char_coeffs, det, inverse
 from dimerlab.moves import (
     MoveError,
@@ -120,6 +123,21 @@ def test_leaf_trim_single_edge_to_empty_graph():
     assert not g2.vertices and not g2.edges
     assert cert.factor == 1
     assert assemble(g2).partition_function() == 1
+
+
+def test_leaf_trim_refuses_to_isolate_a_vertex():
+    # a white centre with two pendant black leaves: trimming one strands the other
+    one = Matrix.identity(1)
+    g = EmbeddedGraph(
+        [
+            Vertex(0, "white", 1, (0, 1), 0),
+            Vertex(1, "black", 1, (0,), 0),
+            Vertex(2, "black", 1, (1,), 0),
+        ],
+        [Edge(0, 0, 1, one), Edge(1, 0, 2, one)],
+    )
+    with pytest.raises(MoveError, match="isolate vertex 2"):
+        leaf_trim(g, 0)
 
 
 def test_leaf_trim_rejects_non_pendant():
@@ -421,3 +439,68 @@ def test_snake_fuzz_oracle_and_reduction(word):
         z2 = assemble(g2).partition_function()
         assert z2 == factor * z0
         assert z2 == abs(oracle_partition(g2))
+
+
+def pinned_moves():
+    """One seeded input per move: (name, move result)."""
+    rng = random.Random(2026)
+    n = 2
+    g = rand_grid(rng, 2, n)
+    g1, pendant = attach_pendant_pair(g, 0, n, rand_matrix(rng, n, n), rand_matrix(rng, n, n))
+    yield "leaf_trim", leaf_trim(g1.replace(connection=solve_signs(g1)), pendant)
+    # split v1 into two parallel strands; the doubled graph carries no connection
+    v1 = g.edges[g.edge_labels["v1"]]
+    w1 = rand_matrix(rng, n, n)
+    split = Edge(max(g.edges) + 1, v1.white, v1.black, v1.weight - w1)
+    verts = []
+    for v in g.vertices.values():
+        if v.id in (v1.white, v1.black):
+            rot = list(v.rotation)
+            at = rot.index(v1.id) + (v.id == v1.white)
+            rot.insert(at, split.id)
+            # the white cilium sits inside the bigon, so closing it moves the cilium
+            cilium = at if v.id == v1.white else v.cilium
+            v = Vertex(v.id, v.color, v.multiplicity, tuple(rot), cilium)
+        verts.append(v)
+    edges = [replace(e, weight=w1) if e.id == v1.id else e for e in g.edges.values()]
+    g2 = EmbeddedGraph(verts, edges + [split], outer_witness=g.outer_witness)
+    yield "parallel_reduce", parallel_reduce(g2, v1.white, v1.black)
+    g3 = g
+    for eid in g.vertices[1].rotation:  # top of column 0 has degree 2
+        e = g3.edges[eid]
+        g3 = gauge(g3, e.other(1), inverse(e.weight))
+    yield "contract", contract(g3, 1)
+    face = next(f for f in g.faces if not f.is_outer)
+    yield "square", square_move(g, face.id)
+
+
+# sha256 of json.dumps(graph_to_spec(after)) and the factor of each result:
+# a change to vertex, edge or connection order, cilia, witness or weights
+# shows here
+PINNED_MOVES = {
+    "leaf_trim": (
+        "fcf17ce8b48f62c8c2927a98f0cdc949f5242548b397ebea9b2e416e3df48648",
+        Fraction(3, 8),
+    ),
+    "parallel_reduce": (
+        "59304fb652fc4fbef143ef72629acafd4a1c1c24dc7031fc6f77ac7990cf70b4",
+        Fraction(1),
+    ),
+    "contract": (
+        "a02ca50719998e56863689f5c177351fa457beeefde93d024a0262b40e1d495e",
+        Fraction(1),
+    ),
+    "square": (
+        "9b23d4e1dba1f83ed3088a50a6ee1bbc371ad977a1cf29da82fef57cffdea7d4",
+        Fraction(27, 23),
+    ),
+}
+
+
+def test_move_outputs_are_pinned():
+    got = {}
+    for name, (after, cert) in pinned_moves():
+        assert cert.after is after and cert.kind == name
+        digest = hashlib.sha256(json.dumps(graph_to_spec(after)).encode()).hexdigest()
+        got[name] = (digest, cert.factor)
+    assert got == PINNED_MOVES
