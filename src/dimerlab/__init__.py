@@ -59,9 +59,11 @@ from .oracle import (
     enumerate_covers,
     oracle_cover_table,
     oracle_distribution,
+    oracle_joint,
     oracle_moment,
     oracle_partition,
     oracle_product_expectation,
+    sample_cover,
 )
 from .scalars import MPoly
 from .statistics import (
@@ -78,7 +80,6 @@ from .statistics import (
     probability_matrix,
     product_expectation,
     psi,
-    sample_cover,
     variance,
 )
 from . import zoo

@@ -29,6 +29,7 @@ from .oracle import (
     oracle_cover_table,
     oracle_distribution,
     oracle_product_expectation,
+    sample_cover,
 )
 from .scalars import decimal_str
 from .statistics import (
@@ -39,7 +40,6 @@ from .statistics import (
     multiplicity_distribution,
     probability_matrix,
     product_expectation,
-    sample_cover,
     variance,
 )
 from . import zoo
@@ -237,7 +237,7 @@ def cmd_verify(args) -> int:
     covers, weights, z_oracle = table
     z_det = sys_.partition_function()
     checks = []
-    z_abs = -z_oracle if z_oracle < 0 else z_oracle
+    z_abs = abs(z_oracle)
     checks.append(("partition |det K| == |oracle Z|", z_det == z_abs, f"{z_det} vs {z_abs}"))
     if z_oracle != 0:
         for eid in sorted(g.edges):

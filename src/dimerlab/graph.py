@@ -345,24 +345,39 @@ def validate(g: EmbeddedGraph):
 # -- GraphSpec (JSON) ----------------------------------------------------------
 
 
+def _spec_int(x, what: str) -> int:
+    """A GraphSpec integer: a JSON integer or an integer string such as "2"."""
+    if not isinstance(x, bool) and isinstance(x, (int, str)):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise GraphError(f"{what} must be an integer, got {x!r}")
+
+
 def build_graph(spec: dict) -> EmbeddedGraph:
     """Build and fully validate a graph from a GraphSpec document."""
     if not isinstance(spec, dict):
         raise GraphError("GraphSpec must be a JSON object")
-    default_n = spec.get("default_multiplicity", 1)
+    default_n = _spec_int(spec.get("default_multiplicity", 1), "default_multiplicity")
     vertices = []
     for vd in spec.get("vertices", []):
         try:
             color = vd["color"]
             if color not in (WHITE, BLACK):
                 raise GraphError(f"vertex {vd.get('id')}: bad color {color!r}")
+            vid = _spec_int(vd["id"], "vertex id")
             vertices.append(
                 Vertex(
-                    id=int(vd["id"]),
+                    id=vid,
                     color=color,
-                    multiplicity=int(vd.get("multiplicity", default_n)),
-                    rotation=tuple(int(x) for x in vd["rotation"]),
-                    cilium=int(vd.get("cilium", 0)),
+                    multiplicity=_spec_int(
+                        vd.get("multiplicity", default_n), f"vertex {vid}: multiplicity"
+                    ),
+                    rotation=tuple(
+                        _spec_int(x, f"vertex {vid}: rotation entry") for x in vd["rotation"]
+                    ),
+                    cilium=_spec_int(vd.get("cilium", 0), f"vertex {vid}: cilium"),
                     label=vd.get("label"),
                 )
             )
@@ -374,10 +389,11 @@ def build_graph(spec: dict) -> EmbeddedGraph:
         try:
             rows = ed["weight"]
             weight = Matrix([[parse_scalar(x) for x in row] for row in rows])
+            eid = _spec_int(ed["id"], "edge id")
             e = Edge(
-                id=int(ed["id"]),
-                white=int(ed["white"]),
-                black=int(ed["black"]),
+                id=eid,
+                white=_spec_int(ed["white"], f"edge {eid}: white"),
+                black=_spec_int(ed["black"], f"edge {eid}: black"),
                 weight=weight,
                 label=ed.get("label"),
             )
@@ -390,10 +406,13 @@ def build_graph(spec: dict) -> EmbeddedGraph:
             labels[e.label] = e.id
     witness = spec.get("outer_face_witness")
     if witness is not None:
-        witness = (int(witness[0]), str(witness[1]))
+        witness = (_spec_int(witness[0], "outer_face_witness edge"), str(witness[1]))
     connection = spec.get("connection")
     if connection is not None:
-        connection = {int(k): int(v) for k, v in connection.items()}
+        connection = {
+            _spec_int(k, "connection edge"): _spec_int(v, f"connection of edge {k}")
+            for k, v in connection.items()
+        }
         if any(s not in (-1, 1) for s in connection.values()):
             raise GraphError("connection signs must be +-1")
     g = EmbeddedGraph(

@@ -155,8 +155,7 @@ class KasteleynSystem:
 
     def partition_function(self):
         """|det K| (exact absolute value on the rational backend)."""
-        d = self.det()
-        return -d if d < 0 else d
+        return abs(self.det())
 
     def _block_column(self, i: int) -> list:
         """The n_w solved columns of K^{-1} for white position i (cached)."""

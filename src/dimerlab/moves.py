@@ -42,10 +42,6 @@ class MoveCertificate:
     details: dict
 
 
-def _abs(x):
-    return -x if x < 0 else x
-
-
 def _edit_rotation(rotation, cilium, remove, insert_at=None, insert=()):
     """Remove slots / insert edges; remap the cilium corner.
 
@@ -193,7 +189,7 @@ def gauge_certificate(g: EmbeddedGraph, vertex_id: int, m: Matrix) -> MoveCertif
         kind="gauge",
         before=g,
         after=after,
-        factor=_abs(det(m)),
+        factor=abs(det(m)),
         details={"vertex": vertex_id},
     )
 
@@ -226,7 +222,7 @@ def gauge_tree_to_identity(g: EmbeddedGraph, edge_ids, root: int):
                 if not weight.is_identity():
                     m = inverse(weight)
                     g = gauge(g, child, m)
-                    factor = factor * _abs(det(m))
+                    factor = factor * abs(det(m))
                 nxt.append(child)
         frontier = nxt
     missing = tree - {eid for eid in tree if g.edges[eid].weight.is_identity()}
@@ -261,7 +257,7 @@ def leaf_trim(g: EmbeddedGraph, edge_id: int):
     return _rewrite(
         g,
         "leaf_trim",
-        Fraction(1) if e.weight.is_identity() else 1 / _abs(d),
+        Fraction(1) if e.weight.is_identity() else 1 / abs(d),
         {"edge": edge_id, "leaf": leaf, "center": center, "touched_vertices": {leaf, center}},
         g.connection,
         drop_vertices={leaf, center},
@@ -468,7 +464,7 @@ def square_move(g: EmbeddedGraph, face_id: int):
     carried = dict(eps)
     carried.update({pend[w_tl]: 1, pend[w_br]: 1, pend[b_bl]: -1, pend[b_tr]: -1})
     carried.update({ia: 1, ib: 1, ic: 1, idd: -1})
-    factor = _abs(det(BlockMatrix.from_blocks([[na, nb], [-nd, nc]]).mat))
+    factor = abs(det(BlockMatrix.from_blocks([[na, nb], [-nd, nc]]).mat))
     return _rewrite(
         g,
         "square",

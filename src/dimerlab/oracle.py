@@ -13,11 +13,17 @@ state (color sets on edges whose other endpoint is still pending), which
 is exact and avoids enumerating the full cartesian product of vertex
 arrangements; ``enumerate_colorings`` still provides the raw product for
 census checks.
+
+The one statistic is ``oracle_joint``, the joint pmf of listed edges over
+the cover table; pmfs, moments and products are sums over it, and
+``sample_cover`` draws from the same table.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 from .graph import BLACK, WHITE, EmbeddedGraph, GraphError
@@ -262,56 +268,68 @@ def oracle_cover_table(
     covers = enumerate_covers(g, cap=cap)
     minors = {}
     weights = [cover_weight(g, w, transpose_minors, minors) for w in covers]
-    z = Fraction(0)
-    for w in weights:
-        z = z + w
-    return covers, weights, z
+    return covers, weights, sum(weights, Fraction(0))
 
 
-def oracle_partition(g: EmbeddedGraph, cap: int = DEFAULT_COVER_CAP, transpose_minors=False):
+def oracle_partition(g: EmbeddedGraph):
     """Z as the plain sum of cover weights (signed; |.| matches |det K|)."""
-    _, _, z = oracle_cover_table(g, cap=cap, transpose_minors=transpose_minors)
-    return z
+    return oracle_cover_table(g)[2]
 
 
-def _measure(g: EmbeddedGraph, cap: int, table):
-    """(covers, weights, Z) from ``table`` or a fresh enumeration; Z must be nonzero."""
-    covers, weights, z = table if table is not None else oracle_cover_table(g, cap=cap)
+def oracle_joint(g: EmbeddedGraph, edge_ids, table=None) -> dict:
+    """{multiplicity tuple -> probability} for the listed edges (nonzero only).
+
+    One pass over ``table`` (or a fresh enumeration); repeated edges are
+    allowed.  Z = 0 raises :class:`GraphError`: there is no measure.
+    """
+    edge_ids = list(edge_ids)
+    covers, weights, z = table if table is not None else oracle_cover_table(g)
     if z == 0:
         raise GraphError("oracle partition function is zero; no probability measure")
-    return covers, weights, z
+    masses = {}
+    for cover, w in zip(covers, weights):
+        key = tuple(cover.get(eid, 0) for eid in edge_ids)
+        masses[key] = masses.get(key, 0) + w
+    return {key: m / z for key, m in masses.items() if m}
 
 
-def oracle_distribution(g: EmbeddedGraph, eid: int, cap: int = DEFAULT_COVER_CAP, table=None):
+def oracle_distribution(g: EmbeddedGraph, eid: int, table=None):
     """Exact pmf of one edge multiplicity as a list Pr[m = 0..n_b].
 
     Sized by the black-endpoint multiplicity to align with the
     probability-matrix route (P_e is n_b x n_b); entries beyond
     min(n_w, n_b) are structural zeros.
     """
-    covers, weights, z = _measure(g, cap, table)
-    e = g.edges[eid]
-    n_e = g.vertices[e.black].multiplicity
-    masses = [Fraction(0)] * (n_e + 1)
-    for cover, w in zip(covers, weights):
-        masses[cover.get(eid, 0)] = masses[cover.get(eid, 0)] + w
-    return [m / z for m in masses]
+    masses = [Fraction(0)] * (g.vertices[g.edges[eid].black].multiplicity + 1)
+    for (k,), p in oracle_joint(g, [eid], table).items():
+        masses[k] = p
+    return masses
 
 
-def oracle_product_expectation(
-    g: EmbeddedGraph, edge_ids, cap: int = DEFAULT_COVER_CAP, table=None
-):
+def oracle_product_expectation(g: EmbeddedGraph, edge_ids, table=None):
     """E[prod m_e] over the listed edges (repeats allowed: plain moments)."""
-    covers, weights, z = _measure(g, cap, table)
+    return sum(p * math.prod(key) for key, p in oracle_joint(g, edge_ids, table).items())
+
+
+def oracle_moment(g: EmbeddedGraph, eid: int, power: int, table=None):
+    """E[m_e^power]: the product expectation of ``power`` copies of one edge."""
+    return oracle_product_expectation(g, [eid] * power, table=table)
+
+
+def sample_cover(g: EmbeddedGraph, seed: int, table=None):
+    """One exact draw from the cover measure.
+
+    Requires nonnegative weights and Z > 0; uses a seeded uniform in
+    [0, 1) with 64 bits, walked down the exact cumulative weights.
+    """
+    covers, weights, z = table if table is not None else oracle_cover_table(g)
+    if any(w < 0 for w in weights) or z <= 0:
+        raise GraphError("cover weights are not a probability measure; cannot sample")
+    rng = random.Random(seed)
+    u = Fraction(rng.getrandbits(64), 2**64) * z
     acc = Fraction(0)
     for cover, w in zip(covers, weights):
-        prod = w
-        for eid in edge_ids:
-            prod = prod * cover.get(eid, 0)
-        acc = acc + prod
-    return acc / z
-
-
-def oracle_moment(g: EmbeddedGraph, eid: int, power: int, cap: int = DEFAULT_COVER_CAP, table=None):
-    """E[m_e^power]: the product expectation of ``power`` copies of one edge."""
-    return oracle_product_expectation(g, [eid] * power, cap=cap, table=table)
+        acc = acc + w
+        if u < acc:
+            return cover
+    return covers[-1]

@@ -8,22 +8,21 @@ characteristic coefficients, never from eigenvalues, so the rational
 backend stays exact end to end.  Multi-edge product expectations and
 joint distributions are sums of principal minors of the marked-edge
 matrix G (:func:`marked_matrix`), since det(K^{-1} K~) = det(I + S G);
-their cost is exponential in the size of G.
+their cost is exponential in the size of G.  Nothing here imports the
+enumeration oracle; the two routes meet only in ``verify`` and the tests.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graph import EmbeddedGraph, GraphError
+from .graph import GraphError
 from .kasteleyn import KasteleynSystem
 from .linalg import Matrix, char_coeffs, det, inverse
-from .oracle import DEFAULT_COVER_CAP, oracle_cover_table
 from .scalars import MPoly
 
 PSI_MAX = 8  # k! enumeration guard
@@ -333,22 +332,3 @@ def joint_distribution(sys: KasteleynSystem, edge_ids) -> dict:
                 out[key] = out.get(key, 0) + (-1) ** (j[e] - k) * math.comb(j[e], k) * c
         sums = out
     return {key: p for key, p in sums.items() if p}
-
-
-def sample_cover(g: EmbeddedGraph, seed: int, cap: int = DEFAULT_COVER_CAP, table=None):
-    """One exact draw from the cover measure (enumeration-backed).
-
-    Requires nonnegative weights and Z > 0; uses a seeded uniform in
-    [0, 1) with 64 bits, walked down the exact cumulative weights.
-    """
-    covers, weights, z = table if table is not None else oracle_cover_table(g, cap=cap)
-    if any(w < 0 for w in weights) or z <= 0:
-        raise GraphError("cover weights are not a probability measure; cannot sample")
-    rng = random.Random(seed)
-    u = Fraction(rng.getrandbits(64), 2**64) * z
-    acc = Fraction(0)
-    for cover, w in zip(covers, weights):
-        acc = acc + w
-        if u < acc:
-            return cover
-    return covers[-1]

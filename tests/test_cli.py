@@ -197,3 +197,64 @@ def test_contract_four_cycle_preserves_z(tmp_path, capsys):
     rc, out, _ = run(capsys, "move", "--kind", "contract", "--site", "0", str(src))
     assert rc == 0
     assert "Z(after) == factor * Z(before): PASS" in out
+
+
+def _square_spec():
+    return graph_to_spec(grid_graph(uniform_grid(1, 1)))
+
+
+def _set(path, value):
+    def edit(spec):
+        *keys, last = path
+        node = spec
+        for k in keys:
+            node = node[k]
+        node[last] = value
+
+    return edit
+
+
+# one non-integer per GraphSpec integer field; int() would have truncated each
+BAD_INTEGER_FIELDS = {
+    "vertex id": _set(["vertices", 0, "id"], 0.9),
+    "multiplicity": _set(["vertices", 0, "multiplicity"], 1.7),
+    "default_multiplicity": _set(["default_multiplicity"], 1.0),
+    "rotation entry": _set(["vertices", 0, "rotation", 0], 2.5),
+    "cilium": _set(["vertices", 0, "cilium"], True),
+    "edge id": _set(["edges", 0, "id"], 0.5),
+    "white": _set(["edges", 0, "white"], 1.2),
+    "black": _set(["edges", 0, "black"], False),
+    "witness id": _set(["outer_face_witness", 0], 0.1),
+    "connection": _set(["connection", "0"], 1.5),
+}
+
+
+@pytest.mark.parametrize("field", sorted(BAD_INTEGER_FIELDS))
+def test_non_integer_graphspec_field_is_input_error(tmp_path, capsys, field):
+    spec = _square_spec()
+    BAD_INTEGER_FIELDS[field](spec)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    rc, out, err = run(capsys, "stats", "--graph", str(path))
+    assert rc == 2
+    assert "must be an integer" in err
+    assert out == ""
+
+
+def test_integer_strings_are_graphspec_integers(tmp_path, capsys):
+    spec = _square_spec()
+    spec["default_multiplicity"] = "1"
+    for v in spec["vertices"]:
+        for key in ("id", "multiplicity", "cilium"):
+            v[key] = str(v[key])
+        v["rotation"] = [str(x) for x in v["rotation"]]
+    for e in spec["edges"]:
+        for key in ("id", "white", "black"):
+            e[key] = str(e[key])
+    spec["outer_face_witness"][0] = "0"
+    spec["connection"] = {k: str(s) for k, s in spec["connection"].items()}
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps(spec))
+    rc, out, _ = run(capsys, "stats", "--graph", str(path), "--edge", "v0")
+    assert rc == 0
+    assert "Z = 2 " in out

@@ -9,7 +9,7 @@ import pytest
 from dimerlab.cli import main
 from dimerlab.graph import save_graph
 from dimerlab.kasteleyn import assemble
-from dimerlab.oracle import oracle_cover_table, oracle_product_expectation
+from dimerlab.oracle import oracle_cover_table, oracle_joint, oracle_product_expectation
 from dimerlab.statistics import (
     covariance,
     cycle_probability_matrix,
@@ -51,15 +51,6 @@ def cycle_trace_product(sys, edge_ids):
             cycles += 1
         total = total + (-term if (k - cycles) % 2 else term)
     return total
-
-
-def oracle_joint(g, marked):
-    covers, weights, z = oracle_cover_table(g)
-    acc = {}
-    for cover, w in zip(covers, weights):
-        key = tuple(cover.get(e, 0) for e in marked)
-        acc[key] = acc.get(key, Fraction(0)) + w
-    return {k: v / z for k, v in acc.items() if v != 0}
 
 
 def test_marked_matrix_blocks_are_cycle_steps():

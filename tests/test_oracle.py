@@ -1,10 +1,12 @@
+import ast
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from dimerlab.graph import Vertex
+from dimerlab.graph import GraphError, Vertex
 from dimerlab.kasteleyn import assemble
 from dimerlab.oracle import (
     EnumerationCapError,
@@ -13,11 +15,16 @@ from dimerlab.oracle import (
     enumerate_colorings,
     enumerate_covers,
     oracle_cover_table,
+    oracle_distribution,
+    oracle_joint,
+    oracle_moment,
     oracle_partition,
+    oracle_product_expectation,
     vertex_arrangements,
 )
 from dimerlab.linalg import Matrix, det, minor, inverse
 from dimerlab.moves import gauge
+import dimerlab
 from dimerlab.zoo import grid_graph, mixed_example, uniform_grid
 
 from conftest import rand_grid, rand_matrix
@@ -206,3 +213,53 @@ def test_empty_graph_partition_is_one():
 
     g = EmbeddedGraph([], [])
     assert oracle_partition(g) == 1
+
+
+def test_oracle_joint_all_ones_square():
+    # two matchings of weight 1: the opposite verticals are both used or both empty
+    g = grid_graph(uniform_grid(1, 1))
+    v0, v1 = g.edge_labels["v0"], g.edge_labels["v1"]
+    half = Fraction(1, 2)
+    assert oracle_joint(g, [v0, v1]) == {(1, 1): half, (0, 0): half}
+    assert oracle_joint(g, [v0, v0]) == {(1, 1): half, (0, 0): half}
+    assert oracle_joint(g, []) == {(): 1}
+    assert oracle_distribution(g, v0) == [half, half]
+    assert oracle_product_expectation(g, [v0, v1]) == half
+    assert oracle_moment(g, v0, 3) == half
+
+
+def test_oracle_statistics_refuse_zero_partition():
+    # the two matchings weigh -1 and +1
+    g = grid_graph(uniform_grid(1, 1, b=[Matrix([[Fraction(-1)]]), Matrix.identity(1)]))
+    assert oracle_partition(g) == 0
+    table = oracle_cover_table(g)
+    for stat in (
+        lambda: oracle_joint(g, [0]),
+        lambda: oracle_distribution(g, 0, table=table),
+        lambda: oracle_product_expectation(g, [0, 1], table=table),
+    ):
+        with pytest.raises(GraphError):
+            stat()
+
+
+def _package_imports(module: str):
+    """Modules of the package that ``module`` imports by name."""
+    tree = ast.parse((pathlib.Path(dimerlab.__file__).parent / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            yield from [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dimerlab."):
+            yield node.module.split(".")[1]
+        elif isinstance(node, ast.Import):
+            yield from [a.name.split(".")[1] for a in node.names if a.name.startswith("dimerlab.")]
+
+
+def test_determinant_route_imports_nothing_from_the_oracle():
+    reached, todo = set(), ["statistics", "kasteleyn", "linalg"]
+    while todo:
+        module = todo.pop()
+        if module not in reached:
+            reached.add(module)
+            todo.extend(_package_imports(module))
+    assert "oracle" not in reached
+    assert {"statistics", "kasteleyn", "linalg", "graph", "scalars"} <= reached

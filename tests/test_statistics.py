@@ -11,8 +11,10 @@ from dimerlab.linalg import Matrix, adjugate, char_coeffs, det, inverse
 from dimerlab.oracle import (
     oracle_cover_table,
     oracle_distribution,
+    oracle_joint,
     oracle_moment,
     oracle_product_expectation,
+    sample_cover,
 )
 from dimerlab.scalars import MPoly
 from dimerlab.statistics import (
@@ -31,7 +33,6 @@ from dimerlab.statistics import (
     probability_matrix,
     product_expectation,
     psi,
-    sample_cover,
     variance,
 )
 from dimerlab.zoo import grid_graph, mixed_example, uniform_grid
@@ -280,14 +281,7 @@ def test_joint_pgf_edge_cases_and_oracle():
     for k in range(3):
         assert jp.coefficient({edge_variable(e1): k}) == pg.coefficient({"t": k})
     # two-edge joint equals the oracle joint distribution
-    jd = {k: v for k, v in joint_distribution(sys, [e1, e2]).items() if v != 0}
-    acc = {}
-    covers, weights, z = table
-    for cover, w in zip(covers, weights):
-        key = (cover.get(e1, 0), cover.get(e2, 0))
-        acc[key] = acc.get(key, Fraction(0)) + w
-    acc = {k: v / z for k, v in acc.items() if v != 0}
-    assert jd == acc
+    assert joint_distribution(sys, [e1, e2]) == oracle_joint(g, [e1, e2], table)
 
 
 def test_joint_pgf_specializes_to_marginal():
@@ -324,32 +318,18 @@ def test_joint_pgf_marked_edges_sharing_a_black_vertex():
     g = rand_grid(rng, 2, 2)
     sys = assemble(g)
     table = oracle_cover_table(g)
-    covers, weights, z = table
     L = g.edge_labels
     for marked in ([L["v0"], L["c1"]], [L["v0"], L["a1"], L["c1"], L["v1"]]):
-        jd = {k: v for k, v in joint_distribution(sys, marked).items() if v != 0}
-        acc = {}
-        for cover, w in zip(covers, weights):
-            key = tuple(cover.get(e, 0) for e in marked)
-            acc[key] = acc.get(key, Fraction(0)) + w
-        acc = {k: v / z for k, v in acc.items() if v != 0}
-        assert jd == acc
+        assert joint_distribution(sys, marked) == oracle_joint(g, marked, table)
 
 
 def test_joint_pgf_on_mixed_multiplicities():
     rng = random.Random(12)
     g = mixed_example(rand_matrix(rng, 1, 1), rand_matrix(rng, 2, 2), rand_matrix(rng, 3, 3))
     sys = assemble(g)
-    covers, weights, z = oracle_cover_table(g)
     L = g.edge_labels
     marked = [L["v1"], L["a2"]]
-    jd = {k: v for k, v in joint_distribution(sys, marked).items() if v != 0}
-    acc = {}
-    for cover, w in zip(covers, weights):
-        key = tuple(cover.get(e, 0) for e in marked)
-        acc[key] = acc.get(key, Fraction(0)) + w
-    acc = {k: v / z for k, v in acc.items() if v != 0}
-    assert jd == acc
+    assert joint_distribution(sys, marked) == oracle_joint(g, marked)
 
 
 def test_sampling_single_edge_and_square():
