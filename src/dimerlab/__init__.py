@@ -2,10 +2,12 @@
 
 The library couples two independent computation routes: block Kasteleyn
 determinants (with a sign connection solved from the face parity rule)
-and a brute-force enumeration oracle over covers and half-edge colorings.
-Every formula is exact over rationals; floats are an opt-in backend.
+and a brute-force enumeration oracle over covers and half-edge colorings;
+``dimerlab.certify`` checks one against the other.  Every formula is exact
+over rationals; floats are an opt-in backend.
 """
 
+from .certify import certify_graph, certify_move
 from .graph import (
     BLACK,
     WHITE,
@@ -50,7 +52,6 @@ from .moves import (
     leaf_trim,
     parallel_reduce,
     square_move,
-    verify_move_invariance,
 )
 from .oracle import (
     EnumerationCapError,

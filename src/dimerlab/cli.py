@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands: stats, verify, move, sample, gen.  Exact values print as
-"p/q" with a 12-significant-digit decimal alongside; floats print bare.
+Subcommands: stats, verify, move, sample, gen.  Commands only load, call
+and format: the cross-route checks of verify and move live in
+:mod:`dimerlab.certify`.  Exact values print as "p/q" with a
+12-significant-digit decimal alongside; floats print bare.
 Exit codes: 0 success/pass, 1 verification failure, 2 input error,
 3 numerical error (singular matrix).  DIMERLAB_ORACLE_CAP sets the
 oracle's cover-enumeration cap for verify and sample (default 10^6); a
@@ -11,7 +13,6 @@ graph with more covers is an input error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -19,37 +20,22 @@ import random
 import sys as _sys
 from fractions import Fraction
 
+from .certify import FAIL, PASS, certify_graph, certify_move
 from .graph import GraphError, load_graph, save_graph, validate
 from .kasteleyn import assemble
 from .linalg import LinalgError, Matrix, SingularMatrixError, char_coeffs, det
 from .moves import MoveError, contract, leaf_trim, parallel_reduce, square_move
-from .oracle import (
-    DEFAULT_COVER_CAP,
-    EnumerationCapError,
-    oracle_cover_table,
-    oracle_distribution,
-    oracle_product_expectation,
-    sample_cover,
-)
+from .oracle import DEFAULT_COVER_CAP, EnumerationCapError, oracle_cover_table, sample_cover
 from .scalars import decimal_str
 from .statistics import (
     covariance,
     expected_multiplicity,
-    marked_matrix,
-    marked_product,
     multiplicity_distribution,
     probability_matrix,
     product_expectation,
     variance,
 )
 from . import zoo
-
-PASS = "PASS"
-FAIL = "FAIL"
-
-
-class VerificationFailure(Exception):
-    pass
 
 
 def oracle_cap() -> int:
@@ -231,39 +217,20 @@ def cmd_stats(args) -> int:
 
 def cmd_verify(args) -> int:
     g = load_input(args)
-    cap = oracle_cap()
-    sys_ = assemble(g)
-    table = oracle_cover_table(g, cap=cap, transpose_minors=args.transposed_oracle)
-    covers, weights, z_oracle = table
-    z_det = sys_.partition_function()
-    checks = []
-    z_abs = abs(z_oracle)
-    checks.append(("partition |det K| == |oracle Z|", z_det == z_abs, f"{z_det} vs {z_abs}"))
-    if z_oracle != 0:
-        for eid in sorted(g.edges):
-            pmf = list(multiplicity_distribution(probability_matrix(sys_, eid)))
-            o = oracle_distribution(g, eid, table=table)
-            checks.append((f"pmf edge {eid}", pmf == o, f"{[str(x) for x in pmf]}"))
-        eids = sorted(g.edges)
-        gm, spans = marked_matrix(sys_, eids)
-        for (a, sa), (b, sb) in itertools.combinations(zip(eids, spans), 2):
-            lhs = marked_product(gm, [sa, sb])
-            rhs = oracle_product_expectation(g, [a, b], table=table)
-            checks.append((f"E[m{a} m{b}]", lhs == rhs, f"{lhs}"))
-    ok = all(c[1] for c in checks)
+    res = certify_graph(g, cap=oracle_cap(), transpose_minors=args.transposed_oracle)
     out = {
         "command": "verify",
         "graph": graph_digest(g),
-        "covers": len(covers),
-        "verdict": PASS if ok else FAIL,
-        "checks": [{"name": n, "pass": p} for n, p, _ in checks],
+        "covers": res["covers"],
+        "verdict": res["verdict"],
+        "checks": [{"name": n, "pass": p} for n, p, _ in res["checks"]],
     }
-    lines = [f"graph: {out['graph']}", f"covers enumerated: {len(covers)}"]
-    for name, passed, info in checks:
+    lines = [f"graph: {out['graph']}", f"covers enumerated: {res['covers']}"]
+    for name, passed, info in res["checks"]:
         lines.append(f"{PASS if passed else FAIL}  {name}  [{info}]")
-    lines.append(f"verdict: {out['verdict']}")
+    lines.append(f"verdict: {res['verdict']}")
     emit(args, out, lines)
-    return 0 if ok else 1
+    return 0 if res["verdict"] == PASS else 1
 
 
 def _move_site(args, g):
@@ -273,8 +240,7 @@ def _move_site(args, g):
         raise MoveError("move needs --site (or --face for square)")
     site = str(site)
     if kind == "square":
-        fid = int(site[1:]) if site.startswith("f") else int(site)
-        return (fid,)
+        return (int(site.removeprefix("f")),)
     if kind == "contract":
         return (int(site),)
     if kind == "parallel_reduce":
@@ -294,27 +260,14 @@ def cmd_move(args) -> int:
         "square": square_move,
     }[args.kind]
     g2, cert = fn(g, *_move_site(args, g))
-    touched = cert.details.get("touched_vertices", set())
-    untouched = [
-        eid
-        for eid in sorted(g.edges)
-        if eid in g2.edges
-        and (g.edges[eid].white not in touched or g.edges[eid].black not in touched)
-        and g2.edges[eid].weight == g.edges[eid].weight
-    ]
-    sys1 = assemble(g)
-    sys2 = assemble(g2)
-    verdicts = {
-        eid: probability_matrix(sys1, eid) == probability_matrix(sys2, eid)
-        for eid in untouched
-    }
-    z_ok = sys2.partition_function() == cert.factor * sys1.partition_function()
+    res = certify_move(cert)
+    z_ok, verdicts = res["z_relation"], res["untouched"]
     out = {
         "command": "move",
         "kind": args.kind,
         "factor": jsonable(cert.factor),
         "z_relation": z_ok,
-        "untouched_P_preserved": {str(k): v for k, v in verdicts.items()},
+        "untouched_P_preserved": verdicts,
         "graph_after": graph_digest(g2),
     }
     lines = [
@@ -335,8 +288,7 @@ def cmd_sample(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     g = load_input(args)
-    cap = oracle_cap()
-    table = oracle_cover_table(g, cap=cap)
+    table = oracle_cover_table(g, cap=oracle_cap())
     id_to_label = {eid: lab for lab, eid in g.edge_labels.items()}
     counts = {}
     rows = []

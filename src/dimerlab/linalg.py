@@ -3,7 +3,7 @@
 Everything the statistics formulas need lives here: one pivoted LU
 elimination over a field on sparse dict rows (determinants, inverses and
 single column solves all go through it), a division-free
-determinant for polynomial entries (Bird's algorithm), minors and
+determinant for small polynomial matrices (cofactor expansion), minors and
 characteristic-polynomial coefficients via Newton's identities.  Entries
 are whatever the scalar backend supplies; no floating-point shortcuts are
 ever taken on exact input.
@@ -276,43 +276,29 @@ def det(m: Matrix):
     """Exact determinant.
 
     Field entries (rationals, floats) use the pivoted elimination of
-    :func:`lu`; polynomial entries use Bird's division-free elimination
-    since the polynomial ring has no division.
+    :func:`lu`; polynomial entries use a cofactor expansion along row 0,
+    since the polynomial ring has no division.  That expansion takes n!
+    terms and is meant for the small symbolic matrices of the tests.
     """
     if not m.is_square():
         raise ShapeError("determinant of non-square matrix")
     if m.rows == 1:  # most oracle minors; skips the factorisation's set-up
         return m.data[0][0]
     if m.has_poly():
-        return _det_bird(m)
+        return _det_cofactor(m.map(MPoly.coerce).data)
     return lu(m).det()
 
 
-def _det_bird(m: Matrix):
-    # X_{k+1} = mu(X_k) A, det = (-1)^{n-1} (X_{n-1})_{11}; only +,*,- used.
-    n = m.rows
-    a = m.map(MPoly.coerce)
-    x = a
-    for _ in range(n - 1):
-        x = _bird_mu(x) @ a
-    val = x.data[0][0]
-    return val if n % 2 == 1 else -val
-
-
-def _bird_mu(x: Matrix) -> Matrix:
-    n = x.rows
-    zero = MPoly.const(0)
-    out = [[zero] * n for _ in range(n)]
-    tail = zero
-    diag = [zero] * n
-    for i in range(n - 1, -1, -1):
-        diag[i] = -tail
-        tail = tail + x.data[i][i]
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i][j] = x.data[i][j]
-        out[i][i] = diag[i]
-    return Matrix(out)
+def _det_cofactor(rows):
+    # Laplace expansion along row 0; only +, * and - are used, n! terms.
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = MPoly.const(0)
+    for j, x in enumerate(rows[0]):
+        if x:
+            term = x * _det_cofactor([r[:j] + r[j + 1 :] for r in rows[1:]])
+            acc = acc - term if j % 2 else acc + term
+    return acc
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -24,9 +24,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graph import BLACK, WHITE, Edge, EmbeddedGraph, GraphError, Vertex
-from .kasteleyn import assemble, connection_is_valid, flip_coboundary, solve_signs
+from .kasteleyn import connection_is_valid, flip_coboundary, solve_signs
 from .linalg import BlockMatrix, Matrix, SingularMatrixError, det, inverse
-from .statistics import probability_matrix
 
 
 class MoveError(GraphError):
@@ -485,16 +484,3 @@ def square_move(g: EmbeddedGraph, face_id: int):
         witness=_transfer_witness(g, (), eids) or (pend[w_tl], WHITE),
         cilia_at=inner.values(),
     )
-
-
-def verify_move_invariance(g: EmbeddedGraph, g2: EmbeddedGraph, edge_ids):
-    """Check P_e equality across a move for edges untouched by it."""
-    sys1 = assemble(g)
-    sys2 = assemble(g2)
-    report = {}
-    for eid in edge_ids:
-        p1 = probability_matrix(sys1, eid)
-        p2 = probability_matrix(sys2, eid)
-        report[eid] = p1 == p2
-    report["pass"] = all(v for k, v in report.items() if k != "pass")
-    return report

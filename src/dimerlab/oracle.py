@@ -104,12 +104,8 @@ def _used_in_reading_order(g: EmbeddedGraph, vid: int, cover: dict):
 
 
 def _word_sign(word) -> int:
-    inv = 0
-    for i in range(len(word)):
-        for j in range(i + 1, len(word)):
-            if word[i] > word[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    inversions = sum(a > b for a, b in itertools.combinations(word, 2))
+    return -1 if inversions % 2 else 1
 
 
 def vertex_arrangements(g: EmbeddedGraph, vid: int, cover: dict):
@@ -264,7 +260,14 @@ def oracle_cover_table(
     cap: int = DEFAULT_COVER_CAP,
     transpose_minors: bool = False,
 ):
-    """(covers, weights, Z) by direct enumeration."""
+    """(covers, weights, Z) by direct enumeration.
+
+    ``transpose_minors`` (see :func:`cover_weight`) needs square edge weights.
+    """
+    for eid, e in sorted(g.edges.items()):
+        if transpose_minors and not e.weight.is_square():
+            rows, cols = e.weight.shape
+            raise GraphError(f"transposed minors need square weights; edge {eid} is {rows}x{cols}")
     covers = enumerate_covers(g, cap=cap)
     minors = {}
     weights = [cover_weight(g, w, transpose_minors, minors) for w in covers]
@@ -327,9 +330,7 @@ def sample_cover(g: EmbeddedGraph, seed: int, table=None):
         raise GraphError("cover weights are not a probability measure; cannot sample")
     rng = random.Random(seed)
     u = Fraction(rng.getrandbits(64), 2**64) * z
-    acc = Fraction(0)
-    for cover, w in zip(covers, weights):
-        acc = acc + w
+    for cover, acc in zip(covers, itertools.accumulate(weights)):
         if u < acc:
             return cover
     return covers[-1]

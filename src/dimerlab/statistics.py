@@ -9,7 +9,7 @@ backend stays exact end to end.  Multi-edge product expectations and
 joint distributions are sums of principal minors of the marked-edge
 matrix G (:func:`marked_matrix`), since det(K^{-1} K~) = det(I + S G);
 their cost is exponential in the size of G.  Nothing here imports the
-enumeration oracle; the two routes meet only in ``verify`` and the tests.
+enumeration oracle; the two routes meet only in ``certify`` and the tests.
 """
 
 from __future__ import annotations
@@ -62,11 +62,9 @@ class Distribution:
 
     masses: list
 
-    def __post_init__(self):
-        total = Fraction(0)
-        for m in self.masses:
-            total = total + m
-        self.total = total
+    @property
+    def total(self):
+        return sum(self.masses, Fraction(0))
 
     @property
     def has_negative(self) -> bool:
@@ -83,16 +81,7 @@ class Distribution:
         return iter(self.masses)
 
     def mean(self):
-        acc = Fraction(0)
-        for k, m in enumerate(self.masses):
-            acc = acc + k * m
-        return acc
-
-    def moment(self, power: int):
-        acc = Fraction(0)
-        for k, m in enumerate(self.masses):
-            acc = acc + k**power * m
-        return acc
+        return sum((k * m for k, m in enumerate(self.masses)), Fraction(0))
 
 
 def edge_pgf(p: Matrix) -> MPoly:
@@ -171,10 +160,8 @@ def moment(p: Matrix, power: int):
     if power < 1:
         raise ValueError("moment order must be >= 1")
     es = char_coeffs(p)
-    acc = Fraction(0)
-    for k in range(1, min(power, p.rows) + 1):
-        acc = acc + math.factorial(k) * _stirling2(power, k) * es[k]
-    return acc
+    ks = range(1, min(power, p.rows) + 1)
+    return sum((math.factorial(k) * _stirling2(power, k) * es[k] for k in ks), Fraction(0))
 
 
 def _cycles(perm):

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import pathlib
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -258,3 +261,72 @@ def test_integer_strings_are_graphspec_integers(tmp_path, capsys):
     rc, out, _ = run(capsys, "stats", "--graph", str(path), "--edge", "v0")
     assert rc == 0
     assert "Z = 2 " in out
+
+
+# sha256 of stdout, recorded before verify and move moved into dimerlab.certify
+PINNED_OUTPUTS = [
+    (
+        "verify --gen grid --N 3 --n 2 --seed 1",
+        0,
+        "048eb79c54baa27f23043cb2e98d4ec546b6ac3f30d57909770379f0fc04da3c",
+    ),
+    (
+        "verify --json --gen grid --N 3 --n 2 --seed 1",
+        0,
+        "84582661371d11d91dfe84d302856b9f85bff3dae2040c3d5557c3da7bc6a25e",
+    ),
+    (
+        "verify --gen mixed --seed 2",
+        0,
+        "1b3ac6c68bfa9dc4dfc721cb2dad35eaba0243e0bc4b9bbcf61aef360249d449",
+    ),
+    (
+        "verify --json --gen mixed --seed 2",
+        0,
+        "625f1013880c8fe336906b9679098846a4969f04bb8d38090b3f4809b2d99e7a",
+    ),
+    (
+        "verify --gen six-vertex --rows 3 --cols 3",
+        0,
+        "6490c0082ef7c2c4aaf977140adf151dd6402dfbfca9ae8cde651a6c6be6693d",
+    ),
+    (
+        "verify --json --gen six-vertex --rows 3 --cols 3",
+        0,
+        "1efbbb08b7f010320f43015941110b8071edd59dbf6e84f0d22a8189956e954d",
+    ),
+    (
+        "verify --transposed-oracle --gen grid --N 1 --n 2 --seed 3",
+        1,
+        "e574e66596376f05b794845cdbcbf157d63041a6c8a12336a3b8c252ed43f98d",
+    ),
+    (
+        "move --json --kind square --face f0 --gen grid --N 2 --n 2 --seed 1",
+        0,
+        "d444a25f62fc4e8f1fffa4abb3baded38478682d3eb7d446048eec48a3f4cb5f",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED_OUTPUTS, ids=[p[0] for p in PINNED_OUTPUTS])
+def test_verify_and_move_output_is_pinned(capsys, argv, code, digest):
+    rc, out, _ = run(capsys, *argv.split())
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _readme_commands():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    blocks = readme.split("```sh\n")[1:]
+    lines = [line for block in blocks for line in block.split("```")[0].splitlines()]
+    return [line for line in lines if line.startswith("dimerlab ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert any("negative control" in line for line in commands)
+    for line in commands:
+        expected = 1 if "negative control" in line else 0
+        rc, _, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert rc == expected, f"{line!r} exited {rc}: {err}"

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from dimerlab.certify import certify_move
 from dimerlab.graph import EmbeddedGraph, Edge, Vertex, graph_to_spec, validate
 from dimerlab.kasteleyn import assemble, solve_signs
 from dimerlab.linalg import BlockMatrix, Matrix, char_coeffs, det, inverse
@@ -17,7 +18,6 @@ from dimerlab.moves import (
     leaf_trim,
     parallel_reduce,
     square_move,
-    verify_move_invariance,
 )
 from dimerlab.oracle import cover_weight, oracle_partition
 from dimerlab.statistics import probability_matrix
@@ -312,14 +312,16 @@ def test_square_move_requires_quad_face():
         square_move(g, outer.id)
 
 
-def test_verify_move_invariance_report():
+def test_certify_move_reports_untouched_edges():
     rng = random.Random(60)
     n = 2
     g = rand_grid(rng, 2, n)
     g1, pendant = attach_pendant_pair(g, 0, n, Matrix.identity(n), rand_matrix(rng, n, n))
     g2, cert = leaf_trim(g1, pendant)
-    report = verify_move_invariance(g1, g2, list(g.edges))
-    assert report["pass"]
+    report = certify_move(cert)
+    assert report["z_relation"]
+    assert set(g.edges) <= set(report["untouched"])
+    assert all(report["untouched"].values())
 
 
 def test_gauge_tree_to_identity_and_census_weight():

@@ -254,12 +254,24 @@ def _package_imports(module: str):
             yield from [a.name.split(".")[1] for a in node.names if a.name.startswith("dimerlab.")]
 
 
-def test_determinant_route_imports_nothing_from_the_oracle():
-    reached, todo = set(), ["statistics", "kasteleyn", "linalg"]
+def _reached(*modules):
+    """Package modules that ``modules`` import, directly or through each other."""
+    reached, todo = set(), list(modules)
     while todo:
         module = todo.pop()
         if module not in reached:
             reached.add(module)
             todo.extend(_package_imports(module))
+    return reached
+
+
+def test_determinant_route_imports_nothing_from_the_oracle():
+    reached = _reached("statistics", "kasteleyn", "linalg")
     assert "oracle" not in reached
     assert {"statistics", "kasteleyn", "linalg", "graph", "scalars"} <= reached
+
+
+def test_moves_imports_nothing_from_statistics_or_oracle():
+    reached = _reached("moves")
+    assert not {"statistics", "oracle", "certify"} & reached
+    assert {"moves", "kasteleyn", "linalg", "graph"} <= reached
