@@ -60,6 +60,7 @@ class Face:
     darts: tuple  # (vertex id, slot) pairs in trace order
     edge_ids: tuple  # with multiplicity, aligned with darts
     inward_cilia: int
+    inward_even_cilia: int  # inward cilia at vertices of even multiplicity
     is_outer: bool
 
     @property
@@ -209,11 +210,13 @@ class EmbeddedGraph:
             outer = seen[(vid, self.slot_of(vid, eid))]
         # cilia ownership
         inward = [0] * len(orbits)
+        inward_even = [0] * len(orbits)
         for v in self.vertices.values():
             if v.degree == 0:
                 continue
             fid = seen[(v.id, (v.cilium - 1) % v.degree)]
             inward[fid] += 1
+            inward_even[fid] += v.multiplicity % 2 == 0
         faces = []
         for fid, orbit in enumerate(orbits):
             eids = tuple(self.vertices[v].rotation[s] for v, s in orbit)
@@ -223,6 +226,7 @@ class EmbeddedGraph:
                     darts=tuple(orbit),
                     edge_ids=eids,
                     inward_cilia=inward[fid],
+                    inward_even_cilia=inward_even[fid],
                     is_outer=(fid == outer),
                 )
             )
@@ -237,10 +241,6 @@ class EmbeddedGraph:
 
     def multiplicities(self):
         return sorted({v.multiplicity for v in self.vertices.values()})
-
-    def uniform_multiplicity(self):
-        ms = self.multiplicities()
-        return ms[0] if len(ms) == 1 else None
 
     # -- edits (used by local moves; return new graphs) ----------------------
 

@@ -1,15 +1,16 @@
 """Kasteleyn sign connections and the block Kasteleyn matrix.
 
 The sign connection is an edge weighting by +-1 whose product around each
-bounded face with 2l edges and k inward cilia is (-1)^(l-1+k) when the
-uniform multiplicity is even and (-1)^(l-1) when it is odd.  The outer
-face is never constrained.  Solving is GF(2) elimination with one bit per
-edge and one equation per bounded face; free edges are set to +1, so the
-solution is deterministic for a fixed graph.
+bounded face with 2l edges is (-1)^(l-1+k), where k counts the inward
+cilia at vertices of even multiplicity.  On a uniform graph this is the
+even rule (every cilium counts) or the odd rule (none does); one rule
+covers mixed multiplicities too.  The acceptance suite certifies it
+against the enumeration oracle on grids, snakes, the mixed example and
+six-vertex ice up to 5x5.  The outer face is never constrained.
 
-For mixed multiplicities the parity rule is not settled here; the odd rule
-is applied as a heuristic, callers may supply their own connection, and
-the enumeration oracle certifies either way.
+Solving is GF(2) elimination with one bit per edge and one equation per
+bounded face; free edges are set to +1, so the solution is deterministic
+for a fixed graph.
 """
 
 from __future__ import annotations
@@ -24,24 +25,16 @@ class SignSolveError(GraphError):
     pass
 
 
-def face_sign_target(face, even_rule: bool) -> int:
+def face_sign_target(face) -> int:
     """Required parity bit for one bounded face (1 means product = -1)."""
     if face.num_darts % 2 != 0:
         raise SignSolveError(f"face {face.id} has odd length; graph not bipartite?")
     ell = face.num_darts // 2
-    k = face.inward_cilia if even_rule else 0
-    return (ell - 1 + k) % 2
+    return (ell - 1 + face.inward_even_cilia) % 2
 
 
-def solve_signs(g: EmbeddedGraph, even_rule=None) -> dict:
-    """A Kasteleyn connection from the face parity rule.
-
-    ``even_rule`` defaults to the parity of the uniform multiplicity;
-    mixed graphs fall back to the odd rule (heuristic, oracle-certified).
-    """
-    if even_rule is None:
-        n = g.uniform_multiplicity()
-        even_rule = n is not None and n % 2 == 0
+def solve_signs(g: EmbeddedGraph) -> dict:
+    """A Kasteleyn connection from the face parity rule."""
     edge_ids = sorted(g.edges)
     col = {eid: i for i, eid in enumerate(edge_ids)}
     nvars = len(edge_ids)
@@ -51,7 +44,7 @@ def solve_signs(g: EmbeddedGraph, even_rule=None) -> dict:
         mask = 0
         for eid in face.edge_ids:
             mask ^= 1 << col[eid]
-        rhs = face_sign_target(face, even_rule)
+        rhs = face_sign_target(face)
         rows.append(mask | (rhs << nvars))
     pivots = {}
     for row in rows:
@@ -78,15 +71,12 @@ def solve_signs(g: EmbeddedGraph, even_rule=None) -> dict:
     return {eid: (-1 if x[col[eid]] else 1) for eid in edge_ids}
 
 
-def connection_is_valid(g: EmbeddedGraph, eps: dict, even_rule=None) -> bool:
-    if even_rule is None:
-        n = g.uniform_multiplicity()
-        even_rule = n is not None and n % 2 == 0
+def connection_is_valid(g: EmbeddedGraph, eps: dict) -> bool:
     for face in g.bounded_faces():
         prod = 1
         for eid in face.edge_ids:
             prod *= eps[eid]
-        if prod != (-1) ** face_sign_target(face, even_rule):
+        if prod != (-1) ** face_sign_target(face):
             return False
     return True
 
@@ -179,7 +169,7 @@ class KasteleynSystem:
         return BlockMatrix(self.K.col_sizes, self.K.row_sizes, Matrix(zip(*cols)))
 
 
-def assemble(g: EmbeddedGraph, eps: dict | None = None, even_rule=None) -> KasteleynSystem:
+def assemble(g: EmbeddedGraph, eps: dict | None = None) -> KasteleynSystem:
     """Build the Kasteleyn system.
 
     Connection precedence: explicit ``eps``, then the graph's own carried
@@ -188,7 +178,7 @@ def assemble(g: EmbeddedGraph, eps: dict | None = None, even_rule=None) -> Kaste
     if eps is None:
         eps = g.connection
     if eps is None:
-        eps = solve_signs(g, even_rule=even_rule)
+        eps = solve_signs(g)
     else:
         missing = set(g.edges) - set(eps)
         if missing:

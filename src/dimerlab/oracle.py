@@ -12,7 +12,15 @@ and multiplies the parities of the resulting words.
 state (color sets on edges whose other endpoint is still pending), which
 is exact and avoids enumerating the full cartesian product of vertex
 arrangements; ``enumerate_colorings`` still provides the raw product for
-census checks.
+census checks.  ``sweep_order`` picks the vertex order: among the
+insertion order and a BFS from each vertex, the smallest peak of open
+edges, then the smallest sum (ties keep the earlier candidate).  An edge
+whose entries are exact enters as d_e W_e, d_e the lcm of its entry
+denominators, so the sweep adds and multiplies Python ints; each cover
+divides once by the product of d_e^{m_e}.  Float and polynomial entries
+take d_e = 1.  ``oracle_cover_table`` shares one memo (order, scales,
+minors, per-vertex deals) across the covers of one call; nothing is kept
+between calls.
 
 The one statistic is ``oracle_joint``, the joint pmf of listed edges over
 the cover table; pmfs, moments and products are sums over it, and
@@ -181,78 +189,183 @@ def coloring_term(g: EmbeddedGraph, coloring: dict, transpose_minors: bool = Fal
     return term
 
 
+def _bfs_order(g: EmbeddedGraph, start: int):
+    """Breadth-first vertex order from ``start``, neighbors in rotation order.
+
+    Other components follow, each from its first vertex in insertion order.
+    """
+    order = []
+    seen = set()
+    for root in (start, *g.vertices):
+        if root in seen:
+            continue
+        seen.add(root)
+        order.append(root)
+        i = len(order) - 1
+        while i < len(order):
+            vid = order[i]
+            i += 1
+            for eid in g.vertices[vid].rotation:
+                other = g.edges[eid].other(vid)
+                if other not in seen:
+                    seen.add(other)
+                    order.append(other)
+    return order
+
+
+def _frontier_profile(g: EmbeddedGraph, order):
+    """(peak, sum) over the sweep of the number of edges with one end swept."""
+    done = set()
+    width = peak = total = 0
+    for vid in order:
+        for eid in g.vertices[vid].rotation:
+            width += -1 if g.edges[eid].other(vid) in done else 1
+        done.add(vid)
+        peak = max(peak, width)
+        total += width
+    return peak, total
+
+
+def sweep_order(g: EmbeddedGraph):
+    """The vertex order of the cover sweep.
+
+    Candidates are the insertion order and a BFS from each vertex; the one
+    with the smallest peak of open edges wins, then the smallest sum.  Ties
+    keep the earlier candidate.
+    """
+    candidates = [list(g.vertices)] + [_bfs_order(g, vid) for vid in g.vertices]
+    return min(candidates, key=lambda order: _frontier_profile(g, order))
+
+
+def _edge_scale(weight) -> int:
+    """lcm of the entry denominators; 1 unless every entry is exact."""
+    d = 1
+    for row in weight.data:
+        for x in row:
+            if isinstance(x, Fraction):
+                d = math.lcm(d, x.denominator)
+            elif not isinstance(x, int):
+                return 1
+    return d
+
+
+def _sweep_memo(g: EmbeddedGraph) -> dict:
+    order = sweep_order(g)
+    return {
+        "order": order,
+        "pos": {vid: i for i, vid in enumerate(order)},
+        "reading": {vid: g.reading_order(vid) for vid in order},
+        "scale": {eid: _edge_scale(e.weight) for eid, e in g.edges.items()},
+        "minors": {},  # (edge id, rows, cols) -> minor of d_e W_e
+        "arrangements": {},  # (vertex id, incident multiplicities) -> split deals
+    }
+
+
+def _colors(colors) -> tuple:
+    return tuple(c - 1 for c in sorted(colors))
+
+
+def _split_arrangements(g: EmbeddedGraph, vid: int, cover: dict, memo: dict):
+    """(closing edges, opening edges, deals) at one vertex of the sweep.
+
+    An edge closes here when its other end was swept earlier.  Each deal is
+    (negate, closing color tuples, opening color tuples), colors 0-based.
+    """
+    reading = memo["reading"][vid]
+    key = (vid, tuple(cover.get(eid, 0) for eid in reading))
+    split = memo["arrangements"].get(key)
+    if split is None:
+        pos = memo["pos"]
+        used = [eid for eid in reading if cover.get(eid, 0) > 0]
+        closing = [eid for eid in used if pos[g.edges[eid].other(vid)] < pos[vid]]
+        opening = [eid for eid in used if eid not in closing]
+        deals = [
+            (
+                sign < 0,
+                tuple(_colors(assignment[eid]) for eid in closing),
+                tuple(_colors(assignment[eid]) for eid in opening),
+            )
+            for assignment, sign in vertex_arrangements(g, vid, cover)
+        ]
+        split = memo["arrangements"][key] = (closing, opening, deals)
+    return split
+
+
+def _scaled_minor(g: EmbeddedGraph, eid: int, rows, cols, d: int):
+    """Minor of d_e W_e: a Python int when the weight is exact."""
+    m = minor(g.edges[eid].weight, rows, cols)
+    if d != 1:
+        m = m * d ** len(rows)
+    if isinstance(m, Fraction) and m.denominator == 1:
+        return m.numerator
+    return m
+
+
 def cover_weight(
     g: EmbeddedGraph,
     cover: dict,
     transpose_minors: bool = False,
-    minors: dict | None = None,
+    memo: dict | None = None,
 ):
     """Weight of one cover: sum over colorings of sign times minor products.
 
-    Evaluated with a frontier sweep over vertices; exact, and polynomial
-    in the frontier width instead of the coloring count.
+    Evaluated with a frontier sweep over vertices in :func:`sweep_order`;
+    exact, and polynomial in the frontier width instead of the coloring
+    count.  A state maps the color tuples on the open edges, in frontier
+    order, to a partial sum.  Exact edge weights enter as the integer
+    matrices d_e W_e (d_e the lcm of their denominators), and the sum is
+    divided once by the product of d_e^{m_e}.
 
     ``transpose_minors`` deliberately swaps the row/column convention of
     the edge minors (a negative control: the determinant identity must
-    then fail on non-symmetric weights).  ``minors`` memoises edge minors
-    by (edge id, rows, cols); pass one dict for every cover of ``g``.
+    then fail on non-symmetric weights).  ``memo`` holds the order, the
+    scales, the scaled minors and the per-vertex deals; pass one dict for
+    every cover of ``g``.
     """
-    if minors is None:
-        minors = {}
-    order = list(g.vertices)
-    pos = {vid: i for i, vid in enumerate(order)}
-    states = {(): Fraction(1)}
-    for vid in order:
-        v = g.vertices[vid]
-        arrangements = vertex_arrangements(g, vid, cover)
+    if memo is None:
+        memo = {}
+    if not memo:
+        memo.update(_sweep_memo(g))
+    scale, minors = memo["scale"], memo["minors"]
+    frontier = []  # open edge ids, aligned with every state key
+    states = {(): 1}
+    for vid in memo["order"]:
+        closing, opening, deals = _split_arrangements(g, vid, cover, memo)
+        white = g.vertices[vid].color == WHITE
+        close_at = [frontier.index(eid) for eid in closing]
+        keep_at = [i for i in range(len(frontier)) if i not in close_at]
         new_states = {}
-        for assignment, sign in arrangements:
-            closing = []
-            opening = []
-            for eid, colors in assignment.items():
-                e = g.edges[eid]
-                other = e.other(vid)
-                if pos[other] < pos[vid]:
-                    closing.append((eid, colors))
-                else:
-                    opening.append((eid, colors))
-            for key, acc in states.items():
-                held = dict(key)
-                term = acc * sign
-                ok = True
-                for eid, colors in closing:
-                    e = g.edges[eid]
-                    if v.color == WHITE:
-                        iw, jb = colors, held.pop(eid)
-                    else:
-                        iw, jb = held.pop(eid), colors
-                    rows = [c - 1 for c in sorted(iw)]
-                    cols = [c - 1 for c in sorted(jb)]
+        for key, acc in states.items():
+            kept = tuple(key[i] for i in keep_at)
+            held = [key[i] for i in close_at]
+            for negate, own, fresh in deals:
+                term = -acc if negate else acc
+                for eid, theirs, mine in zip(closing, held, own):
+                    rows, cols = (mine, theirs) if white else (theirs, mine)
                     if transpose_minors:
                         rows, cols = cols, rows
-                    key = (eid, tuple(rows), tuple(cols))
-                    m = minors.get(key)
+                    mkey = (eid, rows, cols)
+                    m = minors.get(mkey)
                     if m is None:
-                        m = minors[key] = minor(g.edges[eid].weight, rows, cols)
+                        m = minors[mkey] = _scaled_minor(g, eid, rows, cols, scale[eid])
                     if m == 0:
-                        ok = False
                         break
                     term = term * m
-                if not ok:
-                    continue
-                for eid, colors in opening:
-                    held[eid] = colors
-                new_key = tuple(sorted(held.items()))
-                if new_key in new_states:
-                    new_states[new_key] = new_states[new_key] + term
                 else:
-                    new_states[new_key] = term
+                    new_key = kept + fresh
+                    if new_key in new_states:
+                        new_states[new_key] = new_states[new_key] + term
+                    else:
+                        new_states[new_key] = term
         states = new_states
         if not states:
             return Fraction(0)
-    if list(states.keys()) != [()]:
-        raise GraphError("frontier not empty after sweep; invalid cover?")
-    return states[()]
+        frontier = [frontier[i] for i in keep_at] + opening
+    total = states[()]
+    den = math.prod(scale[eid] ** m for eid, m in cover.items())
+    if isinstance(total, int):
+        return Fraction(total, den)
+    return total / den if den != 1 else total
 
 
 def oracle_cover_table(
@@ -269,8 +382,8 @@ def oracle_cover_table(
             rows, cols = e.weight.shape
             raise GraphError(f"transposed minors need square weights; edge {eid} is {rows}x{cols}")
     covers = enumerate_covers(g, cap=cap)
-    minors = {}
-    weights = [cover_weight(g, w, transpose_minors, minors) for w in covers]
+    memo = {}
+    weights = [cover_weight(g, w, transpose_minors, memo) for w in covers]
     return covers, weights, sum(weights, Fraction(0))
 
 

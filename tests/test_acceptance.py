@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from dimerlab.graph import Vertex, validate
-from dimerlab.kasteleyn import assemble, connection_is_valid, flip_coboundary
+from dimerlab.kasteleyn import assemble, connection_is_valid, flip_coboundary, solve_signs
 from dimerlab.linalg import Matrix, adjugate, char_coeffs, det, inverse
 from dimerlab.moves import (
     contract,
@@ -86,14 +86,35 @@ def corpus_tables():
     return items, elapsed
 
 
-def test_criterion_1_oracle_equivalence(corpus_tables):
+# exact domain-wall ice r x r has as many covers as r x r alternating-sign matrices
+ICE_COVERS = {4: 42, 5: 429}
+
+
+@pytest.fixture(scope="module")
+def ice_tables():
+    """Exact six-vertex ice at oracle scale, in the corpus_tables layout."""
+    t0 = time.time()
+    items = []
+    for r in ICE_COVERS:
+        g = six_vertex(r, r)
+        items.append((f"six_vertex_{r}x{r}", g, assemble(g), oracle_cover_table(g)))
+    return items, time.time() - t0
+
+
+def test_criterion_1_oracle_equivalence(corpus_tables, ice_tables):
     items, elapsed = corpus_tables
-    for name, g, sys, table in items:
+    ice, ice_elapsed = ice_tables
+    for name, g, sys, table in items + ice:
         _, _, z = table
         z_abs = -z if z < 0 else z
         assert sys.partition_function() == z_abs, name
+        # the face rule holds for mixed multiplicities too: solve, do not carry
+        assert assemble(g, solve_signs(g)).partition_function() == z_abs, name
+    assert [len(table[0]) for *_, table in ice] == list(ICE_COVERS.values())
+    elapsed += ice_elapsed
     assert elapsed < 60, f"corpus enumeration took {elapsed:.1f}s"
-    report(1, f"|det K| = oracle Z on {len(items)} corpus instances ({elapsed:.1f}s)")
+    n = len(items) + len(ice)
+    report(1, f"|det K| = oracle Z, carried and solved signs, on {n} corpus instances ({elapsed:.1f}s)")
 
 
 def test_criterion_2_coloring_census_and_gauged_weight():
@@ -124,10 +145,11 @@ def test_criterion_2_coloring_census_and_gauged_weight():
     report(2, "81 colorings (41 positive / 40 negative); gauged weight = det(D) tr(A)")
 
 
-def test_criterion_3_distribution_formulas(corpus_tables):
+def test_criterion_3_distribution_formulas(corpus_tables, ice_tables):
     items, _ = corpus_tables
+    ice, _ = ice_tables
     edges_checked = 0
-    for name, g, sys, table in items:
+    for name, g, sys, table in items + ice[:1]:
         _, _, z = table
         if z == 0:
             continue

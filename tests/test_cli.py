@@ -2,6 +2,7 @@ import hashlib
 import json
 import pathlib
 import shlex
+import time
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,31 @@ def test_verify_mixed_passes(capsys):
     rc, out, _ = run(capsys, "verify", "--gen", "mixed", "--seed", "2")
     assert rc == 0
     assert "verdict: PASS" in out
+
+
+def test_solved_ice_connection_gives_z_one(tmp_path, capsys):
+    # ice 2x2 without its carried connection: the face rule counts only the
+    # inward cilia at even vertices (the odd rule printed Z = 7/25)
+    path = tmp_path / "ice.json"
+    run(capsys, "gen", "--gen", "six-vertex", "--rows", "2", "--cols", "2", "--out", str(path))
+    spec = json.loads(path.read_text())
+    del spec["connection"]
+    path.write_text(json.dumps(spec))
+    rc, out, _ = run(capsys, "stats", "--graph", str(path))
+    assert rc == 0
+    assert "Z = 1 (1)" in out
+    rc, out, _ = run(capsys, "verify", "--graph", str(path))
+    assert rc == 0
+    assert "verdict: PASS" in out
+
+
+def test_verify_ice_4x4_is_quick(capsys):
+    t0 = time.perf_counter()
+    rc, out, _ = run(capsys, "verify", "--gen", "six-vertex", "--rows", "4", "--cols", "4")
+    elapsed = time.perf_counter() - t0
+    assert rc == 0
+    assert "verdict: PASS" in out
+    assert elapsed < 2, f"verify on ice 4x4 took {elapsed:.2f}s"
 
 
 def test_transposed_oracle_negative_control(tmp_path, capsys):

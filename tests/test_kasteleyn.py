@@ -6,6 +6,7 @@ import pytest
 from dimerlab.kasteleyn import (
     assemble,
     connection_is_valid,
+    face_sign_target,
     flip_coboundary,
     solve_signs,
 )
@@ -13,7 +14,7 @@ from dimerlab.linalg import BlockMatrix, Matrix, det, inverse
 from dimerlab.moves import gauge
 from dimerlab.oracle import oracle_partition
 from dimerlab.statistics import multiplicity_distribution, probability_matrix
-from dimerlab.zoo import grid_graph, mixed_example, uniform_grid
+from dimerlab.zoo import grid_graph, mixed_example, six_vertex, snake_graph, uniform_grid
 
 from conftest import display_square, rand_grid, rand_matrix
 
@@ -44,11 +45,21 @@ def test_solve_signs_grid_both_faces():
 
 
 def test_even_rule_uses_inward_cilia():
-    g = grid_graph(uniform_grid(1, 2))
-    eps = solve_signs(g)
-    assert connection_is_valid(g, eps, even_rule=True)
-    # outward cilia: k = 0 on the bounded face, so odd and even targets agree
-    assert connection_is_valid(g, eps, even_rule=False)
+    # the face rule counts an inward cilium only at a vertex of even
+    # multiplicity.  Ice 2x2: one bounded face of 8 edges with three inward cilia, of
+    # which one sits at a black (multiplicity 2) vertex
+    g = six_vertex(2, 2)
+    (face,) = g.bounded_faces()
+    assert (face.num_darts, face.inward_cilia, face.inward_even_cilia) == (8, 3, 1)
+    assert face_sign_target(face) == 0  # (4 - 1 + 1) mod 2
+    assert connection_is_valid(g, solve_signs(g))
+    assert connection_is_valid(g, g.connection)
+    # uniform graphs: every inward cilium counts when n is even, none when odd
+    for n in (1, 2, 3, 4):
+        for h in (grid_graph(uniform_grid(1, n)), snake_graph("NE", n)):
+            for f in h.faces:
+                assert f.inward_even_cilia == (f.inward_cilia if n % 2 == 0 else 0)
+            assert connection_is_valid(h, solve_signs(h))
 
 
 def test_assemble_matches_display_frame():

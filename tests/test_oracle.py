@@ -1,4 +1,5 @@
 import ast
+import math
 import pathlib
 import random
 from collections import Counter
@@ -20,12 +21,15 @@ from dimerlab.oracle import (
     oracle_moment,
     oracle_partition,
     oracle_product_expectation,
+    sweep_order,
     vertex_arrangements,
 )
 from dimerlab.linalg import Matrix, det, minor, inverse
 from dimerlab.moves import gauge
 import dimerlab
-from dimerlab.zoo import grid_graph, mixed_example, uniform_grid
+from dimerlab.cli import main
+from dimerlab.graph import load_graph
+from dimerlab.zoo import grid_graph, mixed_example, six_vertex, snake_graph, uniform_grid
 
 from conftest import rand_grid, rand_matrix
 
@@ -102,6 +106,73 @@ def test_cover_weight_equals_full_coloring_sum():
     for coloring, sign in enumerate_colorings(g, cover):
         total += sign * coloring_term(g, coloring)
     assert cover_weight(g, cover) == total
+
+
+def _peak(g, order):
+    """Largest number of edges with exactly one end among the swept vertices."""
+    swept, peak = set(), 0
+    for vid in order:
+        swept.add(vid)
+        open_edges = sum((e.white in swept) != (e.black in swept) for e in g.edges.values())
+        peak = max(peak, open_edges)
+    return peak
+
+
+@pytest.mark.parametrize("r,chosen,insertion", [(3, 6, 30), (4, 8, 56), (5, 10, 90), (7, 14, 182)])
+def test_sweep_order_narrows_the_ice_frontier(r, chosen, insertion):
+    g = six_vertex(r, r)
+    order = sweep_order(g)
+    assert sorted(order) == sorted(g.vertices)
+    assert _peak(g, list(g.vertices)) == insertion
+    assert _peak(g, order) == chosen
+
+
+def test_sweep_order_keeps_grids_and_never_widens_snakes():
+    for N in range(1, 7):
+        for n in (1, 2, 3):
+            g = grid_graph(uniform_grid(N, n))
+            assert sweep_order(g) == list(g.vertices)
+    for word in ("NE", "EEN", "NNEN", "ENNE", "NENENE", "EEENNN"):
+        g = snake_graph(word, 2)
+        assert _peak(g, sweep_order(g)) <= _peak(g, list(g.vertices))
+
+
+def _assert_sweep_matches_colorings(g, transpose_minors=False, tol=None):
+    covers, weights, _ = oracle_cover_table(g, transpose_minors=transpose_minors)
+    for cover, w in zip(covers, weights):
+        want = sum(
+            s * coloring_term(g, c, transpose_minors) for c, s in enumerate_colorings(g, cover)
+        )
+        assert w == cover_weight(g, cover, transpose_minors)
+        if tol is None:
+            assert type(w) is Fraction and w == want
+        else:
+            assert abs(w - want) <= tol * max(1, abs(want))
+
+
+def test_integer_sweep_is_exact_on_mixed_denominators():
+    rng = random.Random(11)
+    mats = [rand_matrix(rng, 3, 3, max_den=9) for _ in range(7)]
+    g = grid_graph(uniform_grid(2, 3, b=mats[:3], a=mats[3:5], c=mats[5:]))
+    assert len({x.denominator for m in mats for row in m.data for x in row}) > 3
+    _assert_sweep_matches_colorings(g)
+
+
+def test_integer_sweep_on_float_and_part_float_weights():
+    _assert_sweep_matches_colorings(six_vertex(3, 3, (math.cos(0.7), math.sin(0.7))), tol=1e-9)
+    rng = random.Random(12)
+    b = [rand_matrix(rng, 2, 2) for _ in range(3)]
+    b[1] = Matrix([[float(x) for x in row] for row in b[1].data])
+    a = [rand_matrix(rng, 2, 2) for _ in range(2)]
+    a[0] = Matrix([[0.25, Fraction(1, 3)], [Fraction(-2, 7), 1.5]])
+    g = grid_graph(uniform_grid(2, 2, b=b, a=a, c=[rand_matrix(rng, 2, 2) for _ in range(2)]))
+    _assert_sweep_matches_colorings(g, tol=1e-9)
+
+
+def test_integer_sweep_with_transposed_minors(tmp_path):
+    path = tmp_path / "square.json"
+    assert main(["gen", "--gen", "grid", "--N", "1", "--n", "2", "--seed", "3", "--out", str(path)]) == 0
+    _assert_sweep_matches_colorings(load_graph(path), transpose_minors=True)
 
 
 def test_coloring_cap_enforced():
