@@ -19,6 +19,63 @@ from .moves import contract, gauge_certificate, parallel_reduce
 
 
 # ---------------------------------------------------------------------------
+# straight-line embedding of integer points
+# ---------------------------------------------------------------------------
+
+
+def _ccw_key(x, y):
+    """Exact sort key of the direction (x, y) by its angle ccw from east."""
+    return (y < 0 or (y == 0 and x < 0), y != 0, Fraction(-x, y) if y else 0)
+
+
+def embed(pos, colors, mults, edges, witness, cilia=None, connection=None) -> EmbeddedGraph:
+    """Graph whose edges are straight segments between integer points.
+
+    ``pos``, ``colors`` and ``mults`` map each vertex id, in vertex order,
+    to its point, color and multiplicity; ``edges`` are the Edges in edge
+    order, labeled by ``Edge.label``.  Each rotation lists a vertex's edges
+    counterclockwise from east.  ``cilia`` maps each vertex id to a
+    direction, and the cilium goes to the corner that holds it; with
+    ``cilia=None`` each cilium sits at its vertex's first outer-face corner.
+    """
+    around = {v: [] for v in pos}
+    for e in edges:
+        for v, u in ((e.white, e.black), (e.black, e.white)):
+            (x, y), (ux, uy) = pos[v], pos[u]
+            around[v].append((_ccw_key(ux - x, uy - y), e.id))
+    vertices = []
+    for v in pos:
+        keys = sorted(around[v])
+        corner = 0
+        if cilia is not None and keys:
+            k = _ccw_key(*cilia[v])
+            corner = sum(key < k for key, _ in keys) % len(keys)
+        vertices.append(Vertex(v, colors[v], mults[v], tuple(e for _, e in keys), corner))
+    g = EmbeddedGraph(
+        vertices,
+        edges,
+        outer_witness=witness,
+        edge_labels={e.label: e.id for e in edges if e.label},
+        connection=connection,
+    )
+    if cilia is not None:
+        return g
+    outer = g.outer_face
+    return g.replace(
+        vertices=[
+            Vertex(
+                v.id,
+                v.color,
+                v.multiplicity,
+                v.rotation,
+                next((c for c in range(v.degree) if g.face_of_corner(v.id, c) == outer), 0),
+            )
+            for v in vertices
+        ]
+    )
+
+
+# ---------------------------------------------------------------------------
 # 2 x (N+1) grid
 # ---------------------------------------------------------------------------
 
@@ -77,83 +134,31 @@ def uniform_grid(N: int, n: int, b=None, a=None, c=None) -> GridSpec:
 def grid_graph(spec: GridSpec) -> EmbeddedGraph:
     """Build the grid with the canonical connection (minus on c-edges).
 
-    Column i has bottom vertex 2i and top vertex 2i+1; bottom is black for
-    even i.  Edge ids: vertical v_i = 3i, a_i = 3i-2, c_i = 3i-1.  All
-    cilia point away from the grid.
+    Column i has bottom vertex 2i at (i, 0) and top vertex 2i+1 at (i, 1);
+    bottom is black for even i.  Edge ids: vertical v_i = 3i, a_i = 3i-2,
+    c_i = 3i-1.  All cilia point away from the grid.
     """
     N = spec.N
-    vertices = []
-    edges = []
-    labels = {}
-    eps = {}
 
-    def bottom(i):
-        return 2 * i
+    def white(i):
+        return 2 * i + 1 - i % 2
 
-    def top(i):
-        return 2 * i + 1
+    def black(i):
+        return 2 * i + i % 2
 
-    def white_of(i):
-        return top(i) if i % 2 == 0 else bottom(i)
-
-    def black_of(i):
-        return bottom(i) if i % 2 == 0 else top(i)
-
-    def v_id(i):
-        return 3 * i
-
-    def a_id(i):
-        return 3 * i - 2
-
-    def c_id(i):
-        return 3 * i - 1
-
-    def bottom_edge(j):  # between columns j-1, j
-        return a_id(j) if j % 2 == 0 else c_id(j)
-
-    def top_edge(j):
-        return a_id(j) if j % 2 == 1 else c_id(j)
-
-    for i in range(N + 1):
-        w, b = white_of(i), black_of(i)
-        edges.append(Edge(v_id(i), w, b, spec.b[i], label=f"v{i}"))
-        labels[f"v{i}"] = v_id(i)
-        eps[v_id(i)] = 1
+    edges = [Edge(3 * i, white(i), black(i), spec.b[i], label=f"v{i}") for i in range(N + 1)]
     for j in range(1, N + 1):
-        wa, ba = white_of(j - 1), black_of(j)
-        edges.append(Edge(a_id(j), wa, ba, spec.a[j - 1], label=f"a{j}"))
-        labels[f"a{j}"] = a_id(j)
-        eps[a_id(j)] = 1
-        wc, bc = white_of(j), black_of(j - 1)
-        edges.append(Edge(c_id(j), wc, bc, spec.c[j - 1], label=f"c{j}"))
-        labels[f"c{j}"] = c_id(j)
-        eps[c_id(j)] = -1
-    for i in range(N + 1):
-        # bottom: ccw [right(0 deg), vertical(90), left(180)], cilium points down
-        rot = []
-        if i < N:
-            rot.append(bottom_edge(i + 1))
-        rot.append(v_id(i))
-        if i > 0:
-            rot.append(bottom_edge(i))
-        color = BLACK if i % 2 == 0 else WHITE
-        vertices.append(Vertex(bottom(i), color, spec.ns[i], tuple(rot), 0))
-        # top: ccw [right(0), left(180), vertical(270)], cilium points up
-        rot = []
-        if i < N:
-            rot.append(top_edge(i + 1))
-        if i > 0:
-            rot.append(top_edge(i))
-        rot.append(v_id(i))
-        color = WHITE if i % 2 == 0 else BLACK
-        cil = 1 if i < N else 0
-        vertices.append(Vertex(top(i), color, spec.ns[i], tuple(rot), cil))
-    return EmbeddedGraph(
-        vertices,
+        edges.append(Edge(3 * j - 2, white(j - 1), black(j), spec.a[j - 1], label=f"a{j}"))
+        edges.append(Edge(3 * j - 1, white(j), black(j - 1), spec.c[j - 1], label=f"c{j}"))
+    pos = {v: (v // 2, v % 2) for v in range(2 * N + 2)}
+    return embed(
+        pos,
+        {v: BLACK if (x + y) % 2 == 0 else WHITE for v, (x, y) in pos.items()},
+        {v: spec.ns[v // 2] for v in pos},
         edges,
-        outer_witness=(v_id(0), BLACK),
-        edge_labels=labels,
-        connection=eps,
+        witness=(0, BLACK),
+        cilia={v: (0, 2 * y - 1) for v, (x, y) in pos.items()},
+        connection={e.id: -1 if e.label[0] == "c" else 1 for e in edges},
     )
 
 
@@ -325,8 +330,8 @@ def snake_graph(word: str, n: int = 1, weight_fn=None) -> EmbeddedGraph:
     Vertices at integer corners, white when x + y is even.  Edges are
     labeled ``h{x}.{y}`` / ``v{x}.{y}`` by their lower-left endpoint;
     ``weight_fn(label, shape)`` supplies weights (identity by default).
-    Cilia are placed on outer-face corners (all snake vertices lie on the
-    outer boundary).
+    Each cilium sits at its vertex's first outer-face corner (all snake
+    vertices lie on the outer boundary).
     """
     for ch in word:
         if ch not in ("E", "N"):
@@ -348,53 +353,26 @@ def snake_graph(word: str, n: int = 1, weight_fn=None) -> EmbeddedGraph:
             segments[seg] = lab
     points = sorted({p for seg in segments for p in seg}, key=lambda p: (p[1], p[0]))
     vid = {p: i for i, p in enumerate(points)}
-    seg_list = sorted(segments)
-    eid = {seg: i for i, seg in enumerate(seg_list)}
 
     def color(p):
         return WHITE if (p[0] + p[1]) % 2 == 0 else BLACK
 
     edges = []
-    labels = {}
-    for seg in seg_list:
+    for eid, seg in enumerate(sorted(segments)):
         p1, p2 = seg
         wp, bp = (p1, p2) if color(p1) == WHITE else (p2, p1)
         lab = segments[seg]
-        wt = (
-            weight_fn(lab, (n, n))
-            if weight_fn is not None
-            else Matrix.identity(n)
-        )
-        edges.append(Edge(eid[seg], vid[wp], vid[bp], wt, label=lab))
-        labels[lab] = eid[seg]
-    vertices = []
-    for p in points:
-        x, y = p
-        around = []
-        for d, q in (((1, 0), (x + 1, y)), ((0, 1), (x, y + 1)), ((-1, 0), (x - 1, y)), ((0, -1), (x, y - 1))):
-            seg = tuple(sorted([p, q]))
-            if seg in eid:
-                around.append(eid[seg])
-        vertices.append(Vertex(vid[p], color(p), n, tuple(around), 0))
-    x0, y0 = min(tiles, key=lambda t: (t[1], t[0]))
-    bottom_seg = ((x0, y0), (x0 + 1, y0))
-    witness_vertex = (x0 + 1, y0)
-    g = EmbeddedGraph(
-        vertices,
+        wt = weight_fn(lab, (n, n)) if weight_fn is not None else Matrix.identity(n)
+        edges.append(Edge(eid, vid[wp], vid[bp], wt, label=lab))
+    # edge 1 is h0.0, the bottom side of tile (0, 0): its black end (1, 0)
+    # sees the outer face
+    return embed(
+        dict(enumerate(points)),
+        {i: color(p) for i, p in enumerate(points)},
+        dict.fromkeys(vid.values(), n),
         edges,
-        outer_witness=(eid[bottom_seg], color(witness_vertex)),
-        edge_labels=labels,
+        witness=(1, BLACK),
     )
-    outer = g.outer_face
-    fixed = []
-    for v in g.vertices.values():
-        cil = v.cilium
-        for c in range(v.degree):
-            if g.face_of_corner(v.id, c) == outer:
-                cil = c
-                break
-        fixed.append(Vertex(v.id, v.color, v.multiplicity, v.rotation, cil, v.label))
-    return g.replace(vertices=fixed)
 
 
 def snake_reduce(g: EmbeddedGraph):
