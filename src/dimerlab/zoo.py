@@ -422,9 +422,6 @@ def snake_reduce(g: EmbeddedGraph):
 # six-vertex model (square ice), free-fermionic weights
 # ---------------------------------------------------------------------------
 
-_DIRS = ("east", "north", "west", "south")
-
-
 def direction_vectors(cos_t, sin_t):
     """Row vectors decorating the four edges around each oxygen vertex."""
     one = cos_t * 0 + 1
@@ -468,97 +465,40 @@ def six_vertex(rows: int, cols: int, cos_sin=(Fraction(3, 5), Fraction(4, 5))) -
     right columns only, which forces rows == cols.  Every edge (w, b)
     carries the 1x2 direction row-vector of w as seen from b, and the
     connection is identically +1 (the direction vectors carry the signs).
+    Black (r, q) sits at (2q, -2r) with every cilium pointing to (1, -1).
+    Its edges are labeled ``b{r}.{q}-{d}`` by the direction d of the white,
+    except at the centre black of an odd lattice: ``center-{d}``.
     """
     if rows < 1 or cols < 1:
         raise GraphError("need rows, cols >= 1")
     if rows != cols:
         raise GraphError("domain-wall boundary needs rows == cols")
-    c, s = cos_sin
-    vecs = direction_vectors(c, s)
-    black_id = {}
-    for r in range(rows):
-        for q in range(cols):
-            black_id[(r, q)] = r * cols + q
-    vertices = []
-    next_vid = rows * cols
-    white_at = {}  # key -> white vertex id
-
-    def new_white(key):
-        nonlocal next_vid
-        white_at[key] = next_vid
-        next_vid += 1
-        return white_at[key]
-
+    vecs = direction_vectors(*cos_sin)
+    pos = {r * cols + q: (2 * q, -2 * r) for r in range(rows) for q in range(cols)}
+    center = (rows // 2, rows // 2) if rows % 2 else None
+    white_at = {}  # point -> white vertex id
     edges = []
-    labels = {}
-    eps = {}
-    next_eid = 0
-    # edge bookkeeping: per black, per direction
-    incident = {b: {} for b in black_id.values()}
-    white_edges = {}
-
-    def add_edge(white, black, direction):
-        nonlocal next_eid
-        e = Edge(next_eid, white, black, vecs[direction])
-        edges.append(e)
-        eps[e.id] = 1
-        incident[black][direction] = e.id
-        white_edges.setdefault(white, {})[_opposite_point(direction)] = e.id
-        next_eid += 1
-        return e.id
-
     for r in range(rows):
         for q in range(cols):
-            b = black_id[(r, q)]
-            # west neighbor white (pendant or shared horizontal midpoint)
-            if q == 0:
-                w = new_white(("pend_w", r))
-                add_edge(w, b, "west")
-            else:
-                w = white_at[("h", r, q - 1)]
-                add_edge(w, b, "west")
-            # north: vertical midpoint created by the row above
-            if r > 0:
-                w = white_at[("v", r - 1, q)]
-                add_edge(w, b, "north")
-            # east: new horizontal midpoint or right pendant
-            if q == cols - 1:
-                w = new_white(("pend_e", r))
-                add_edge(w, b, "east")
-            else:
-                w = new_white(("h", r, q))
-                add_edge(w, b, "east")
-            # south: new vertical midpoint
-            if r < rows - 1:
-                w = new_white(("v", r, q))
-                add_edge(w, b, "south")
-    for (r, q), b in black_id.items():
-        rot = tuple(incident[b][d] for d in _DIRS if d in incident[b])
-        vertices.append(Vertex(b, BLACK, 2, rot, 0))
-        for d, eid in incident[b].items():
-            labels[f"b{r}.{q}-{d}"] = eid
-    if rows == cols and rows % 2 == 1:
-        mid = rows // 2
-        for d, eid in incident[black_id[(mid, mid)]].items():
-            labels[f"center-{d}"] = eid
-    # whites: rotation ccw by direction toward each black
-    for key, w in white_at.items():
-        dirs = white_edges[w]
-        order = [d for d in ("east", "north", "west", "south") if d in dirs]
-        vertices.append(Vertex(w, WHITE, 1, tuple(dirs[d] for d in order), 0))
-    witness_edge = incident[black_id[(0, 0)]]["west"]
-    return EmbeddedGraph(
-        vertices,
+            name = "center" if (r, q) == center else f"b{r}.{q}"
+            for d, dx, dy in (("west", -1, 0), ("north", 0, 1), ("east", 1, 0), ("south", 0, -1)):
+                if (d == "north" and r == 0) or (d == "south" and r == rows - 1):
+                    continue
+                p = (2 * q + dx, -2 * r + dy)
+                if p not in white_at:
+                    white_at[p] = len(pos)
+                    pos[len(pos)] = p
+                edges.append(Edge(len(edges), white_at[p], r * cols + q, vecs[d], label=f"{name}-{d}"))
+    blacks = rows * cols
+    return embed(
+        pos,
+        {v: BLACK if v < blacks else WHITE for v in pos},
+        {v: 2 if v < blacks else 1 for v in pos},
         edges,
-        outer_witness=(witness_edge, WHITE),
-        edge_labels=labels,
-        connection=eps,
+        witness=(0, WHITE),
+        cilia=dict.fromkeys(pos, (1, -1)),
+        connection=dict.fromkeys(range(len(edges)), 1),
     )
-
-
-def _opposite_point(direction: str) -> str:
-    # direction of the black as seen from the white midpoint
-    return {"east": "west", "west": "east", "north": "south", "south": "north"}[direction]
 
 
 def six_vertex_closed_forms(cos_t, sin_t):

@@ -66,6 +66,17 @@ def test_gen_verify_round_trip(tmp_path, capsys):
     assert "verdict: PASS" in out
 
 
+def test_gen_file_keeps_ice_labels(tmp_path, capsys):
+    path = tmp_path / "ice.json"
+    ice = ("--rows", "3", "--cols", "3")
+    assert run(capsys, "gen", "--gen", "six-vertex", *ice, "--out", str(path))[0] == 0
+    rc, out, err = run(capsys, "stats", "--graph", str(path), "--edge", "center-east")
+    assert (rc, err) == (0, "")
+    assert "337/625" in out
+    assert run(capsys, "stats", "--gen", "six-vertex", *ice, "--edge", "center-east")[1] == out
+    assert run(capsys, "stats", "--graph", str(path), "--edge", "b0.2-south")[0] == 0
+
+
 def test_verify_mixed_passes(capsys):
     rc, out, _ = run(capsys, "verify", "--gen", "mixed", "--seed", "2")
     assert rc == 0

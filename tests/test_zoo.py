@@ -325,7 +325,9 @@ def _generator_cases():
 
 GENERATOR_CASES = _generator_cases()
 
-# sha256 of json.dumps(graph_to_spec(g)) for each case
+# sha256 of json.dumps(graph_to_spec(g)) for each case, recorded before the
+# generators moved onto zoo.embed.  The ice entries were re-recorded once, when
+# ice edges gained a label key; without that key their specs are unchanged.
 GENERATOR_DIGESTS = {
     "grid-N0-n1": "4426ec838caf8c09264ce2380b5f3c2c4bb863c453105f6b0626bbc895b2de16",
     "grid-N0-n1-seeded": "4f78244ab92df0d51f9f701bf1a136096d01f61dc907506e1608c01121eb19b2",
@@ -447,18 +449,18 @@ GENERATOR_DIGESTS = {
     "snake-NENEN-n2-seeded": "3e918c3b4eb201de9d603ad6cdbf6c15085b6e360f8a3b7089a8d1029eb7059d",
     "snake-NENEN-n3": "87a0a5693e36a86f988308297381251162a659bee2a0d6224036071d0f836504",
     "snake-NENEN-n3-seeded": "3aed11f16af0ede81c544660972a5d107bac76bf73692fc784e3ebdeb95768ba",
-    "ice-1": "9976072b766f5d7629fd55e829a3cebf31786bdaa41f426a4d692fdec413fdd3",
-    "ice-1-float": "5363cce5614d3bb36a9b08f4ae19b4a60af63db64b00a696fa8b89c850a945a8",
-    "ice-2": "3d3ed63ed6463330e951192108710f1fd6b11b0779145c99b9928ef0fa6c35d0",
-    "ice-2-float": "22322a9306198300d1326b7eaebd1c95a1c745381e92432f945a2f7952d23a4c",
-    "ice-3": "f0f5e6b65532ed5c2827f2be852868ed11b5944abe2e24e13716bc70d272dbbe",
-    "ice-3-float": "a5f8b29b73f4405878f1b6b8d71afb19fc4f82f2bc39d1f02892bb86f81b268e",
-    "ice-4": "fe1782b3048480583f435b611dcb6542e4ce14e8b8774e4ed7edf3b2b5d0ab47",
-    "ice-4-float": "26aa20b32684710511d3dda55b10271f4db26642a3d486ea00d86cd5bf65b583",
-    "ice-5": "9b794936609d3dffd38092f76533777a451212d464c1cdd9ff24bb4b8666ce8e",
-    "ice-5-float": "69074c44c45dcd5ccf8e3316fdd34de5fde291147df7ef49e531f7eb0cb3be06",
-    "ice-6": "a273b2b00f98f6ee57fcd892bf5d2c0a9e5f7b176bc9e6a1d9b734caab75b931",
-    "ice-6-float": "ff0a94a517e982e019e4f9775a1eff7c410bbd444bdb215daa30f2e62827241e",
+    "ice-1": "b8df55b3019a5f8f09cb8ed6d9430bd5a85603855afc1e316249f67b96fd5e85",
+    "ice-1-float": "2313d2432b85c0a7a0c20d9a25b21930674ac1c22f2624b6e9840c8ef2ca285b",
+    "ice-2": "d7d1fd520d8679ee574b1f08e6c80857a07e65f5d3e0cb70d0ed4d5e639d63bb",
+    "ice-2-float": "351a74ad00b416eeda53f11bbaa599b35c3e73ed886466de862d0335c13a2801",
+    "ice-3": "8532c2ab374d1476085d9ec253e01d35d9636b3ddb9cd8b12874f1f0ad7e4e77",
+    "ice-3-float": "2cd449a76ba9857f8b10adcc039c92a08bd37d2660c1ec88882d7dbe0ce4aaff",
+    "ice-4": "8bd074296bc67732abf297b9f2cd2d30bcf036ec75441ca1ad2c7fb460d2f774",
+    "ice-4-float": "e53befeadff3eaa71e6a08c70b6722cd11e77a66b75ab08eb61f6149a0cf64cb",
+    "ice-5": "9874c372b276328eabe82f21d295e7f29c7a63b484627d2bdf6775ef57d9df63",
+    "ice-5-float": "47feb79c797643104ed63113138c02c544e8470bd8b6e692e14e50126f82c359",
+    "ice-6": "f3e01f054a976dd7d7ba6b7b777fb1cedb468d1d2d3cb033bac852801e771f51",
+    "ice-6-float": "a4354cc9497d5a1263fd2dbed79894f835718384ba7970d378473fc4a340123f",
     "snake_reduce-NE": "5189ff42e7b35b1b83707e970bf299b539d0a3440c8901fef3fcbea3eab5c1d9",
     "snake_reduce-NEN": "805e8c2c9473d329923035a31cbdfca34ab6f37707158d72a8ba051290c267e5",
     "snake_reduce-ENEN": "cdb745526ccaf2ed9e1d0f8358b6f38ff8405b0cf68b6d54dcaf3aacfaac7d6a",
