@@ -90,6 +90,15 @@ def _rand_matrix(rng, rows, cols):
 
 
 def build_generated(args) -> "EmbeddedGraph":
+    """The --gen graph, validated like a GraphSpec file."""
+    g = _generate(args)
+    problems = validate(g)
+    if problems:
+        raise GraphError("; ".join(problems))
+    return g
+
+
+def _generate(args):
     kind = args.gen
     if kind == "grid":
         n = args.n
@@ -315,9 +324,6 @@ def cmd_sample(args) -> int:
 
 def cmd_gen(args) -> int:
     g = build_generated(args)
-    problems = validate(g)
-    if problems:
-        raise GraphError("; ".join(problems))
     save_graph(g, args.out)
     lines = [f"wrote {args.out}: {graph_digest(g)}"]
     emit(args, {"command": "gen", "out": args.out, "graph": graph_digest(g)}, lines)

@@ -172,6 +172,16 @@ def test_input_error_exit_code(capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    ["--gen grid --N 2 --n 0", "--gen grid --N 2 --n -1", "--gen snake --word EN --n -2"],
+)
+def test_generated_graph_is_validated(capsys, argv):
+    rc, out, err = run(capsys, "stats", *argv.split())
+    assert (rc, out) == (2, "")
+    assert "multiplicity must be >= 1" in err
+
+
 def test_singular_exit_code(tmp_path, capsys):
     spec = {
         "default_multiplicity": 1,
