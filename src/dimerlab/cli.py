@@ -23,7 +23,7 @@ from fractions import Fraction
 from .certify import FAIL, PASS, certify_graph, certify_move
 from .graph import GraphError, load_graph, save_graph, validate
 from .kasteleyn import assemble
-from .linalg import LinalgError, Matrix, SingularMatrixError, char_coeffs, det
+from .linalg import LinalgError, Matrix, SingularMatrixError, char_coeffs
 from .moves import MoveError, contract, leaf_trim, parallel_reduce, square_move
 from .oracle import DEFAULT_COVER_CAP, EnumerationCapError, oracle_cover_table, sample_cover
 from .scalars import decimal_str
@@ -77,18 +77,6 @@ def parse_theta(raw: str):
     return math.cos(theta), math.sin(theta)
 
 
-def _rand_matrix(rng, rows, cols):
-    while True:
-        m = Matrix(
-            [
-                [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
-                for _ in range(rows)
-            ]
-        )
-        if rows != cols or det(m) != 0:
-            return m
-
-
 def build_generated(args) -> "EmbeddedGraph":
     """The --gen graph, validated like a GraphSpec file."""
     g = _generate(args)
@@ -110,9 +98,9 @@ def _generate(args):
             spec = zoo.uniform_grid(
                 N,
                 n,
-                b=[_rand_matrix(rng, n, n) for _ in range(N + 1)],
-                a=[_rand_matrix(rng, n, n) for _ in range(N)],
-                c=[_rand_matrix(rng, n, n) for _ in range(N)],
+                b=[zoo.random_matrix(rng, n, n) for _ in range(N + 1)],
+                a=[zoo.random_matrix(rng, n, n) for _ in range(N)],
+                c=[zoo.random_matrix(rng, n, n) for _ in range(N)],
             )
         return zoo.grid_graph(spec)
     if kind == "mixed":
@@ -122,7 +110,7 @@ def _generate(args):
             )
         rng = random.Random(args.gen_seed)
         return zoo.mixed_example(
-            _rand_matrix(rng, 1, 1), _rand_matrix(rng, 2, 2), _rand_matrix(rng, 3, 3)
+            zoo.random_matrix(rng, 1, 1), zoo.random_matrix(rng, 2, 2), zoo.random_matrix(rng, 3, 3)
         )
     if kind == "six-vertex":
         return zoo.six_vertex(args.rows, args.cols, parse_theta(args.theta))
@@ -131,7 +119,7 @@ def _generate(args):
             return zoo.snake_graph(args.word, args.n)
         rng = random.Random(args.gen_seed)
         return zoo.snake_graph(
-            args.word, args.n, weight_fn=lambda lab, shape: _rand_matrix(rng, *shape)
+            args.word, args.n, weight_fn=lambda lab, shape: zoo.random_matrix(rng, *shape)
         )
     if kind == "qfib":
         g, _ = zoo.q_fibonacci_grid(args.N, Matrix([[Fraction(args.q)]]))

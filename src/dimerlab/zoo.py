@@ -122,6 +122,20 @@ def _rect_identity(rows: int, cols: int) -> Matrix:
     )
 
 
+def random_matrix(rng, rows: int, cols: int) -> Matrix:
+    """Entries p/q with -4 <= p <= 4 and 1 <= q <= 3 drawn from ``rng``;
+    square ones are resampled until invertible."""
+    while True:
+        m = Matrix(
+            [
+                [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+                for _ in range(rows)
+            ]
+        )
+        if rows != cols or det(m) != 0:
+            return m
+
+
 def uniform_grid(N: int, n: int, b=None, a=None, c=None) -> GridSpec:
     ident = Matrix.identity(n)
     return GridSpec(

@@ -4,25 +4,19 @@ from fractions import Fraction
 import pytest
 
 from dimerlab.graph import EmbeddedGraph
-from dimerlab.linalg import Matrix, det
-from dimerlab.zoo import GridSpec, grid_graph, mixed_example, six_vertex, snake_graph, uniform_grid
-
-
-def rand_matrix(rng, rows, cols, lo=-4, hi=4, max_den=3):
-    """Random rational matrix; square ones are resampled until invertible."""
-    while True:
-        m = Matrix(
-            [
-                [Fraction(rng.randint(lo, hi), rng.randint(1, max_den)) for _ in range(cols)]
-                for _ in range(rows)
-            ]
-        )
-        if rows != cols or det(m) != 0:
-            return m
+from dimerlab.zoo import (
+    GridSpec,
+    grid_graph,
+    mixed_example,
+    random_matrix,
+    six_vertex,
+    snake_graph,
+    uniform_grid,
+)
 
 
 def rand_grid(rng, N, n, identity_couplers=False):
-    b = [rand_matrix(rng, n, n) for _ in range(N + 1)]
+    b = [random_matrix(rng, n, n) for _ in range(N + 1)]
     if identity_couplers:
         return grid_graph(uniform_grid(N, n, b=b))
     return grid_graph(
@@ -30,8 +24,8 @@ def rand_grid(rng, N, n, identity_couplers=False):
             N,
             n,
             b=b,
-            a=[rand_matrix(rng, n, n) for _ in range(N)],
-            c=[rand_matrix(rng, n, n) for _ in range(N)],
+            a=[random_matrix(rng, n, n) for _ in range(N)],
+            c=[random_matrix(rng, n, n) for _ in range(N)],
         )
     )
 
@@ -69,7 +63,7 @@ def corpus(n, seed):
     out.append(
         (
             "snake_NE",
-            snake_graph("NE", n, weight_fn=lambda lab, shape: rand_matrix(rng, *shape)),
+            snake_graph("NE", n, weight_fn=lambda lab, shape: random_matrix(rng, *shape)),
         )
     )
     return out
@@ -81,7 +75,7 @@ def mixed_corpus(seed):
         (
             "mixed_example",
             mixed_example(
-                rand_matrix(rng, 1, 1), rand_matrix(rng, 2, 2), rand_matrix(rng, 3, 3)
+                random_matrix(rng, 1, 1), random_matrix(rng, 2, 2), random_matrix(rng, 3, 3)
             ),
         )
     ]

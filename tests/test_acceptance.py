@@ -54,13 +54,14 @@ from dimerlab.zoo import (
     q_fibonacci_grid,
     q_fibonacci_polys,
     q_fibonacci_twin_polys,
+    random_matrix,
     six_vertex,
     six_vertex_closed_forms,
     snake_graph,
     uniform_grid,
 )
 
-from conftest import PYTH_POINTS, corpus, mixed_corpus, rand_grid, rand_matrix
+from conftest import PYTH_POINTS, corpus, mixed_corpus, rand_grid
 
 SEEDS = (0, 1, 2)
 MULTIPLICITIES = (1, 2, 3)
@@ -125,9 +126,9 @@ def test_criterion_2_coloring_census_and_gauged_weight():
         uniform_grid(
             2,
             3,
-            b=[rand_matrix(rng, 3, 3) for _ in range(3)],
-            a=[rand_matrix(rng, 3, 3) for _ in range(2)],
-            c=[rand_matrix(rng, 3, 3) for _ in range(2)],
+            b=[random_matrix(rng, 3, 3) for _ in range(3)],
+            a=[random_matrix(rng, 3, 3) for _ in range(2)],
+            c=[random_matrix(rng, 3, 3) for _ in range(2)],
         )
     )
     L = g.edge_labels
@@ -246,7 +247,7 @@ def _double_edge(g, label, rng):
 
     eid = g.edge_labels[label]
     e = g.edges[eid]
-    w1 = rand_matrix(rng, e.weight.rows, e.weight.cols)
+    w1 = random_matrix(rng, e.weight.rows, e.weight.cols)
     w2 = e.weight - w1
     new_eid = max(g.edges) + 1
     es = [Edge(eid, x.white, x.black, w1, x.label) if x.id == eid else x for x in g.edges.values()]
@@ -269,7 +270,7 @@ def test_criterion_6_local_moves():
         rng = random.Random(600 + n)
         # (i) leaf trimming at factor 1 in normal form
         g = rand_grid(rng, 2, n)
-        g1, pendant = _attach_pendant_pair(g, 0, n, Matrix.identity(n), rand_matrix(rng, n, n))
+        g1, pendant = _attach_pendant_pair(g, 0, n, Matrix.identity(n), random_matrix(rng, n, n))
         sys1 = assemble(g1)
         before = {eid: probability_matrix(sys1, eid) for eid in g.edges}
         g2, cert = leaf_trim(g1, pendant)
@@ -332,7 +333,7 @@ def test_criterion_7_grid_closed_forms():
     for N, n in [(2, 1), (3, 2), (4, 3), (5, 2), (5, 3)]:
         rng = random.Random(700 + 10 * N + n)
         while True:
-            spec = uniform_grid(N, n, b=[rand_matrix(rng, n, n) for _ in range(N + 1)])
+            spec = uniform_grid(N, n, b=[random_matrix(rng, n, n) for _ in range(N + 1)])
             try:
                 for i in range(N + 1):
                     grid_vertical_P(spec, i)
@@ -386,7 +387,7 @@ def test_criterion_8_fibonacci_families():
             )
     rng = random.Random(800)
     for N in (2, 3, 4):
-        Qm = rand_matrix(rng, 2, 2)
+        Qm = random_matrix(rng, 2, 2)
         g, val = q_fibonacci_grid(N, Qm)
         sys = assemble(g)
         assert val == expected_multiplicity(probability_matrix(sys, g.edge_labels["v0"]))
@@ -429,7 +430,7 @@ def test_criterion_10_invariance_suites():
             assert probability_matrix(sys1, eid) == probability_matrix(sys2, eid)
         # gauge invariance of char coeffs of P_e
         vid = sorted(g.vertices)[rng.randrange(len(g.vertices))]
-        m = rand_matrix(rng, g.vertices[vid].multiplicity, g.vertices[vid].multiplicity)
+        m = random_matrix(rng, g.vertices[vid].multiplicity, g.vertices[vid].multiplicity)
         g3 = gauge(g, vid, m)
         sys3 = assemble(g3, sys1.eps)
         for eid in g.edges:

@@ -9,9 +9,9 @@ import pytest
 from dimerlab.kasteleyn import assemble
 from dimerlab.linalg import BlockMatrix, Matrix, det, inverse, lu
 from dimerlab.statistics import probability_matrix
-from dimerlab.zoo import mixed_example, six_vertex
+from dimerlab.zoo import mixed_example, random_matrix, six_vertex
 
-from conftest import rand_grid, rand_matrix
+from conftest import rand_grid
 
 
 def cofactor_det(m: Matrix):
@@ -35,7 +35,7 @@ def cofactor_det(m: Matrix):
 
 
 def rand_mixed(rng):
-    return mixed_example(rand_matrix(rng, 1, 1), rand_matrix(rng, 2, 2), rand_matrix(rng, 3, 3))
+    return mixed_example(random_matrix(rng, 1, 1), random_matrix(rng, 2, 2), random_matrix(rng, 3, 3))
 
 
 def exact_systems():

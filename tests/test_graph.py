@@ -14,9 +14,8 @@ from dimerlab.graph import (
     validate,
 )
 from dimerlab.linalg import Matrix
-from dimerlab.zoo import grid_graph, mixed_example, uniform_grid
+from dimerlab.zoo import grid_graph, mixed_example, random_matrix, uniform_grid
 
-from conftest import rand_matrix
 
 
 def square_spec(n=2, seed=0):
@@ -25,9 +24,9 @@ def square_spec(n=2, seed=0):
         uniform_grid(
             1,
             n,
-            b=[rand_matrix(rng, n, n) for _ in range(2)],
-            a=[rand_matrix(rng, n, n)],
-            c=[rand_matrix(rng, n, n)],
+            b=[random_matrix(rng, n, n) for _ in range(2)],
+            a=[random_matrix(rng, n, n)],
+            c=[random_matrix(rng, n, n)],
         )
     )
     return graph_to_spec(g)

@@ -14,9 +14,16 @@ from dimerlab.linalg import BlockMatrix, Matrix, det, inverse
 from dimerlab.moves import gauge
 from dimerlab.oracle import oracle_partition
 from dimerlab.statistics import multiplicity_distribution, probability_matrix
-from dimerlab.zoo import grid_graph, mixed_example, six_vertex, snake_graph, uniform_grid
+from dimerlab.zoo import (
+    grid_graph,
+    mixed_example,
+    random_matrix,
+    six_vertex,
+    snake_graph,
+    uniform_grid,
+)
 
-from conftest import display_square, rand_grid, rand_matrix
+from conftest import display_square, rand_grid
 
 
 def test_solve_signs_square_face_product():
@@ -64,7 +71,7 @@ def test_even_rule_uses_inward_cilia():
 
 def test_assemble_matches_display_frame():
     rng = random.Random(0)
-    a, b, c, d = (rand_matrix(rng, 2, 2) for _ in range(4))
+    a, b, c, d = (random_matrix(rng, 2, 2) for _ in range(4))
     g, eps = display_square(a, b, c, d)
     sys = assemble(g, eps)
     K = sys.K
@@ -76,7 +83,7 @@ def test_assemble_matches_display_frame():
 
 def test_block_inverse_schur_formulas():
     rng = random.Random(1)
-    a, b, c, d = (rand_matrix(rng, 2, 2) for _ in range(4))
+    a, b, c, d = (random_matrix(rng, 2, 2) for _ in range(4))
     g, eps = display_square(a, b, c, d)
     sys = assemble(g, eps)
     whites = sys.white_order
@@ -155,7 +162,7 @@ def test_gauge_scales_det_by_det_m():
     rng = random.Random(4)
     g = rand_grid(rng, 2, 2)
     sys = assemble(g)
-    m = rand_matrix(rng, 2, 2)
+    m = random_matrix(rng, 2, 2)
     black = g.black_ids()[1]
     g2 = gauge(g, black, m)
     sys2 = assemble(g2, sys.eps)

@@ -15,8 +15,8 @@ from dimerlab.linalg import (
     minor,
 )
 from dimerlab.scalars import MPoly
+from dimerlab.zoo import random_matrix
 
-from conftest import rand_matrix
 
 
 def frac(p, q=1):
@@ -42,7 +42,7 @@ def test_inverse_identity_and_roundtrip():
     assert inverse(ident) == ident
     rng = random.Random(0)
     for _ in range(5):
-        m = rand_matrix(rng, 4, 4)
+        m = random_matrix(rng, 4, 4)
         assert m @ inverse(m) == Matrix.identity(4)
         assert inverse(inverse(m)) == m
 
@@ -57,7 +57,7 @@ def test_minor_conventions():
     assert minor(m, [], []) == 1
     assert minor(m, [0], [0]) == 5
     rng = random.Random(1)
-    c = rand_matrix(rng, 3, 3)
+    c = random_matrix(rng, 3, 3)
     assert minor(c, [0, 2], [0, 2]) == c[0, 0] * c[2, 2] - c[0, 2] * c[2, 0]
 
 
@@ -70,7 +70,7 @@ def test_char_coeffs_binomials_and_edge_cases():
     assert char_coeffs(Matrix.identity(3)) == [1, 3, 3, 1]
     assert char_coeffs(Matrix.zeros(4, 4)) == [1, 0, 0, 0, 0]
     rng = random.Random(5)
-    m = rand_matrix(rng, 2, 2)
+    m = random_matrix(rng, 2, 2)
     es = char_coeffs(m)
     assert es[1] == m.trace()
     assert es[2] == det(m)
@@ -78,7 +78,7 @@ def test_char_coeffs_binomials_and_edge_cases():
 
 def test_char_coeffs_match_det_at_random_points():
     rng = random.Random(6)
-    m = rand_matrix(rng, 4, 4)
+    m = random_matrix(rng, 4, 4)
     es = char_coeffs(m)
     for _ in range(10):
         lam = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
@@ -115,7 +115,7 @@ def test_polynomial_det_and_adjugate():
 def test_float_backend_close_to_rational():
     rng = random.Random(8)
     for _ in range(5):
-        m = rand_matrix(rng, 4, 4)
+        m = random_matrix(rng, 4, 4)
         mf = m.map(float)
         dr = det(m)
         df = det(mf)
@@ -131,7 +131,7 @@ def test_float_backend_close_to_rational():
 
 def test_block_matrix_round_trip():
     rng = random.Random(9)
-    blocks = [[rand_matrix(rng, r, c) for c in (1, 2)] for r in (2, 3)]
+    blocks = [[random_matrix(rng, r, c) for c in (1, 2)] for r in (2, 3)]
     bm = BlockMatrix.from_blocks(blocks)
     assert bm.mat.shape == (5, 3)
     for i in range(2):

@@ -19,9 +19,9 @@ from dimerlab.statistics import (
     probability_matrix,
     product_expectation,
 )
-from dimerlab.zoo import mixed_example, six_vertex, snake_graph
+from dimerlab.zoo import mixed_example, random_matrix, six_vertex, snake_graph
 
-from conftest import PYTH_POINTS, rand_grid, rand_matrix
+from conftest import PYTH_POINTS, rand_grid
 
 
 def cycle_trace_product(sys, edge_ids):
@@ -94,7 +94,7 @@ def test_product_expectation_matches_cycle_traces_at_k7():
 
 def test_product_expectation_on_mixed_and_ice():
     rng = random.Random(22)
-    mixed = mixed_example(rand_matrix(rng, 1, 1), rand_matrix(rng, 2, 2), rand_matrix(rng, 3, 3))
+    mixed = mixed_example(random_matrix(rng, 1, 1), random_matrix(rng, 2, 2), random_matrix(rng, 3, 3))
     ice = six_vertex(3, 3, PYTH_POINTS[0])
     for g, k in ((mixed, 4), (ice, 5)):
         sys = assemble(g)
@@ -147,8 +147,8 @@ def certify_graphs():
     return [
         rand_grid(rng, 6, 2),
         rand_grid(rng, 3, 3),
-        snake_graph("NEN", 3, weight_fn=lambda lab, shape: rand_matrix(rng, *shape)),
-        mixed_example(rand_matrix(rng, 1, 1), rand_matrix(rng, 2, 2), rand_matrix(rng, 3, 3)),
+        snake_graph("NEN", 3, weight_fn=lambda lab, shape: random_matrix(rng, *shape)),
+        mixed_example(random_matrix(rng, 1, 1), random_matrix(rng, 2, 2), random_matrix(rng, 3, 3)),
         six_vertex(3, 3, PYTH_POINTS[1]),
     ]
 

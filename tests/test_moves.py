@@ -21,9 +21,9 @@ from dimerlab.moves import (
 )
 from dimerlab.oracle import cover_weight, oracle_partition
 from dimerlab.statistics import probability_matrix
-from dimerlab.zoo import grid_graph, snake_graph, snake_reduce, uniform_grid
+from dimerlab.zoo import grid_graph, random_matrix, snake_graph, snake_reduce, uniform_grid
 
-from conftest import rand_grid, rand_matrix
+from conftest import rand_grid
 
 
 def attach_pendant_pair(g, black_id, n, pendant_weight, link_weight):
@@ -52,7 +52,7 @@ def double_edge(g, label, seed):
     eid = g.edge_labels[label]
     e = g.edges[eid]
     n = e.weight.rows
-    w1 = rand_matrix(rng, n, e.weight.cols)
+    w1 = random_matrix(rng, n, e.weight.cols)
     w2 = e.weight - w1
     new_eid = max(g.edges) + 1
     es = [Edge(eid, x.white, x.black, w1, x.label) if x.id == eid else x for x in g.edges.values()]
@@ -91,7 +91,7 @@ def test_gauge_shape_and_singularity_checks():
 def test_leaf_trim_identity_pendant(n):
     rng = random.Random(n)
     g = rand_grid(rng, 2, n)
-    g1, pendant = attach_pendant_pair(g, 0, n, Matrix.identity(n), rand_matrix(rng, n, n))
+    g1, pendant = attach_pendant_pair(g, 0, n, Matrix.identity(n), random_matrix(rng, n, n))
     assert validate(g1) == []
     sys1 = assemble(g1)
     z1 = sys1.partition_function()
@@ -109,8 +109,8 @@ def test_leaf_trim_general_weight_factor():
     rng = random.Random(5)
     n = 2
     g = rand_grid(rng, 2, n)
-    w = rand_matrix(rng, n, n)
-    g1, pendant = attach_pendant_pair(g, 0, n, w, rand_matrix(rng, n, n))
+    w = random_matrix(rng, n, n)
+    g1, pendant = attach_pendant_pair(g, 0, n, w, random_matrix(rng, n, n))
     sys1 = assemble(g1)
     g2, cert = leaf_trim(g1, pendant)
     assert cert.factor == 1 / abs(det(w))
@@ -284,7 +284,7 @@ def test_square_move_display_identity():
     # through the certificate's normalized frame
     rng = random.Random(44)
     for n in (1, 2):
-        a, b, c, d = (rand_matrix(rng, n, n) for _ in range(4))
+        a, b, c, d = (random_matrix(rng, n, n) for _ in range(4))
         na = inverse(a + d @ inverse(c) @ b)
         nb = inverse(b + c @ inverse(d) @ a)
         nc = inverse(c + b @ inverse(a) @ d)
@@ -316,7 +316,7 @@ def test_certify_move_reports_untouched_edges():
     rng = random.Random(60)
     n = 2
     g = rand_grid(rng, 2, n)
-    g1, pendant = attach_pendant_pair(g, 0, n, Matrix.identity(n), rand_matrix(rng, n, n))
+    g1, pendant = attach_pendant_pair(g, 0, n, Matrix.identity(n), random_matrix(rng, n, n))
     g2, cert = leaf_trim(g1, pendant)
     report = certify_move(cert)
     assert report["z_relation"]
@@ -330,9 +330,9 @@ def test_gauge_tree_to_identity_and_census_weight():
         uniform_grid(
             2,
             3,
-            b=[rand_matrix(rng, 3, 3) for _ in range(3)],
-            a=[rand_matrix(rng, 3, 3) for _ in range(2)],
-            c=[rand_matrix(rng, 3, 3) for _ in range(2)],
+            b=[random_matrix(rng, 3, 3) for _ in range(3)],
+            a=[random_matrix(rng, 3, 3) for _ in range(2)],
+            c=[random_matrix(rng, 3, 3) for _ in range(2)],
         )
     )
     L = g.edge_labels
@@ -350,7 +350,7 @@ def test_snake_reduction_matches_figure():
     weights = {}
 
     def wf(lab, shape):
-        weights[lab] = rand_matrix(rng, *shape)
+        weights[lab] = random_matrix(rng, *shape)
         return weights[lab]
 
     g = snake_graph("NE", 2, weight_fn=wf)
@@ -412,7 +412,7 @@ def test_snake_reduction_unimodular_preserves_z():
 
 def test_snake_reduce_longer_word():
     rng = random.Random(91)
-    g = snake_graph("NEN", 1, weight_fn=lambda lab, shape: rand_matrix(rng, *shape))
+    g = snake_graph("NEN", 1, weight_fn=lambda lab, shape: random_matrix(rng, *shape))
     z0 = assemble(g).partition_function()
     g2, certs = snake_reduce(g)
     factor = Fraction(1)
@@ -431,7 +431,7 @@ def test_snake_fuzz_oracle_and_reduction(word):
     # with the certificate chain tying the partition functions together
     for n in (1, 2):
         rng = random.Random(10 * SNAKE_WORDS.index(word) + n)
-        g = snake_graph(word, n, weight_fn=lambda lab, shape: rand_matrix(rng, *shape))
+        g = snake_graph(word, n, weight_fn=lambda lab, shape: random_matrix(rng, *shape))
         assert validate(g) == []
         sys0 = assemble(g)
         z0 = sys0.partition_function()
@@ -451,11 +451,11 @@ def pinned_moves():
     rng = random.Random(2026)
     n = 2
     g = rand_grid(rng, 2, n)
-    g1, pendant = attach_pendant_pair(g, 0, n, rand_matrix(rng, n, n), rand_matrix(rng, n, n))
+    g1, pendant = attach_pendant_pair(g, 0, n, random_matrix(rng, n, n), random_matrix(rng, n, n))
     yield "leaf_trim", leaf_trim(g1.replace(connection=solve_signs(g1)), pendant)
     # split v1 into two parallel strands; the doubled graph carries no connection
     v1 = g.edges[g.edge_labels["v1"]]
-    w1 = rand_matrix(rng, n, n)
+    w1 = random_matrix(rng, n, n)
     split = Edge(max(g.edges) + 1, v1.white, v1.black, v1.weight - w1)
     verts = []
     for v in g.vertices.values():

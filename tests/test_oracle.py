@@ -29,9 +29,16 @@ from dimerlab.moves import gauge
 import dimerlab
 from dimerlab.cli import main
 from dimerlab.graph import load_graph
-from dimerlab.zoo import grid_graph, mixed_example, six_vertex, snake_graph, uniform_grid
+from dimerlab.zoo import (
+    grid_graph,
+    mixed_example,
+    random_matrix,
+    six_vertex,
+    snake_graph,
+    uniform_grid,
+)
 
-from conftest import rand_grid, rand_matrix
+from conftest import rand_grid
 
 
 def dimerwt_graph(rng):
@@ -40,9 +47,9 @@ def dimerwt_graph(rng):
         uniform_grid(
             2,
             3,
-            b=[rand_matrix(rng, 3, 3) for _ in range(3)],
-            a=[rand_matrix(rng, 3, 3) for _ in range(2)],
-            c=[rand_matrix(rng, 3, 3) for _ in range(2)],
+            b=[random_matrix(rng, 3, 3) for _ in range(3)],
+            a=[random_matrix(rng, 3, 3) for _ in range(2)],
+            c=[random_matrix(rng, 3, 3) for _ in range(2)],
         )
     )
 
@@ -152,7 +159,10 @@ def _assert_sweep_matches_colorings(g, transpose_minors=False, tol=None):
 
 def test_integer_sweep_is_exact_on_mixed_denominators():
     rng = random.Random(11)
-    mats = [rand_matrix(rng, 3, 3, max_den=9) for _ in range(7)]
+    mats = [
+        Matrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 9)) for _ in range(3)] for _ in range(3)])
+        for _ in range(7)
+    ]
     g = grid_graph(uniform_grid(2, 3, b=mats[:3], a=mats[3:5], c=mats[5:]))
     assert len({x.denominator for m in mats for row in m.data for x in row}) > 3
     _assert_sweep_matches_colorings(g)
@@ -161,11 +171,11 @@ def test_integer_sweep_is_exact_on_mixed_denominators():
 def test_integer_sweep_on_float_and_part_float_weights():
     _assert_sweep_matches_colorings(six_vertex(3, 3, (math.cos(0.7), math.sin(0.7))), tol=1e-9)
     rng = random.Random(12)
-    b = [rand_matrix(rng, 2, 2) for _ in range(3)]
+    b = [random_matrix(rng, 2, 2) for _ in range(3)]
     b[1] = Matrix([[float(x) for x in row] for row in b[1].data])
-    a = [rand_matrix(rng, 2, 2) for _ in range(2)]
+    a = [random_matrix(rng, 2, 2) for _ in range(2)]
     a[0] = Matrix([[0.25, Fraction(1, 3)], [Fraction(-2, 7), 1.5]])
-    g = grid_graph(uniform_grid(2, 2, b=b, a=a, c=[rand_matrix(rng, 2, 2) for _ in range(2)]))
+    g = grid_graph(uniform_grid(2, 2, b=b, a=a, c=[random_matrix(rng, 2, 2) for _ in range(2)]))
     _assert_sweep_matches_colorings(g, tol=1e-9)
 
 
@@ -184,9 +194,9 @@ def test_coloring_cap_enforced():
 
 def test_mixed_example_cover_weights_match_figure_formulas():
     rng = random.Random(4)
-    a = rand_matrix(rng, 1, 1)
-    B = rand_matrix(rng, 2, 2)
-    C = rand_matrix(rng, 3, 3)
+    a = random_matrix(rng, 1, 1)
+    B = random_matrix(rng, 2, 2)
+    C = random_matrix(rng, 3, 3)
     g = mixed_example(a, B, C)
     L = g.edge_labels
     a_s = a[0, 0]
@@ -214,7 +224,7 @@ def test_mixed_example_cover_weights_match_figure_formulas():
 
 def test_last_mixed_cover_has_four_contributing_colorings():
     rng = random.Random(5)
-    g = mixed_example(rand_matrix(rng, 1, 1), rand_matrix(rng, 2, 2), rand_matrix(rng, 3, 3))
+    g = mixed_example(random_matrix(rng, 1, 1), random_matrix(rng, 2, 2), random_matrix(rng, 3, 3))
     L = g.edge_labels
     cover = {L["v0"]: 1, L["v1"]: 1, L["a2"]: 1, L["c2"]: 1, L["v2"]: 2, L["a1"]: 0, L["c1"]: 0}
     nonzero = [
@@ -225,7 +235,7 @@ def test_last_mixed_cover_has_four_contributing_colorings():
 
 def test_oracle_partition_forced_cases():
     rng = random.Random(6)
-    w = rand_matrix(rng, 3, 3)
+    w = random_matrix(rng, 3, 3)
     g = grid_graph(uniform_grid(0, 3, b=[w]))
     assert oracle_partition(g) == det(w)
     assert oracle_partition(grid_graph(uniform_grid(1, 1))) == 2
@@ -234,7 +244,7 @@ def test_oracle_partition_forced_cases():
 def test_gauge_covariance_of_cover_weights():
     rng = random.Random(7)
     g = rand_grid(rng, 1, 2)
-    m = rand_matrix(rng, 2, 2)
+    m = random_matrix(rng, 2, 2)
     black = g.black_ids()[0]
     g2 = gauge(g, black, m)
     covers, w1, _ = oracle_cover_table(g)

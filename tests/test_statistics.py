@@ -35,9 +35,9 @@ from dimerlab.statistics import (
     psi,
     variance,
 )
-from dimerlab.zoo import grid_graph, mixed_example, uniform_grid
+from dimerlab.zoo import grid_graph, mixed_example, random_matrix, uniform_grid
 
-from conftest import display_square, rand_grid, rand_matrix
+from conftest import display_square, rand_grid
 
 
 def all_ones_square():
@@ -51,7 +51,7 @@ def diag_square():
 
 def test_probability_matrix_forced_edge():
     rng = random.Random(0)
-    w = rand_matrix(rng, 2, 2)
+    w = random_matrix(rng, 2, 2)
     g = grid_graph(uniform_grid(0, 2, b=[w]))
     sys = assemble(g)
     assert probability_matrix(sys, 0) == Matrix.identity(2)
@@ -59,7 +59,7 @@ def test_probability_matrix_forced_edge():
 
 def test_probability_matrix_display_formula():
     rng = random.Random(1)
-    a, b, c, d = (rand_matrix(rng, 2, 2) for _ in range(4))
+    a, b, c, d = (random_matrix(rng, 2, 2) for _ in range(4))
     g, eps = display_square(a, b, c, d)
     sys = assemble(g, eps)
     p = probability_matrix(sys, g.edge_labels["v0"])
@@ -176,8 +176,8 @@ def test_moment_requires_positive_order():
 
 def test_psi_small_cases_and_guard():
     rng = random.Random(6)
-    a1 = rand_matrix(rng, 2, 2)
-    a2 = rand_matrix(rng, 2, 2)
+    a1 = random_matrix(rng, 2, 2)
+    a2 = random_matrix(rng, 2, 2)
     assert psi([a1]) == a1.trace()
     assert psi([a1, a2]) == a1.trace() * a2.trace() - (a1 @ a2).trace()
     with pytest.raises(ValueError):
@@ -325,7 +325,7 @@ def test_joint_pgf_marked_edges_sharing_a_black_vertex():
 
 def test_joint_pgf_on_mixed_multiplicities():
     rng = random.Random(12)
-    g = mixed_example(rand_matrix(rng, 1, 1), rand_matrix(rng, 2, 2), rand_matrix(rng, 3, 3))
+    g = mixed_example(random_matrix(rng, 1, 1), random_matrix(rng, 2, 2), random_matrix(rng, 3, 3))
     sys = assemble(g)
     L = g.edge_labels
     marked = [L["v1"], L["a2"]]

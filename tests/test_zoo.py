@@ -30,6 +30,7 @@ from dimerlab.zoo import (
     q_fibonacci_grid,
     q_fibonacci_polys,
     q_fibonacci_twin_polys,
+    random_matrix,
     six_vertex,
     six_vertex_closed_forms,
     snake_graph,
@@ -37,7 +38,7 @@ from dimerlab.zoo import (
     uniform_grid,
 )
 
-from conftest import PYTH_POINTS, rand_grid, rand_matrix
+from conftest import PYTH_POINTS, rand_grid
 
 
 def fib(k):
@@ -60,9 +61,9 @@ def test_grid_block_tridiagonal_pattern():
     spec = uniform_grid(
         N,
         n,
-        b=[rand_matrix(rng, n, n) for _ in range(N + 1)],
-        a=[rand_matrix(rng, n, n) for _ in range(N)],
-        c=[rand_matrix(rng, n, n) for _ in range(N)],
+        b=[random_matrix(rng, n, n) for _ in range(N + 1)],
+        a=[random_matrix(rng, n, n) for _ in range(N)],
+        c=[random_matrix(rng, n, n) for _ in range(N)],
     )
     g = grid_graph(spec)
     sys = assemble(g)
@@ -97,7 +98,7 @@ def test_continued_fraction_base_and_fibonacci():
 
 def _random_b_spec(rng, N, n):
     while True:
-        spec = uniform_grid(N, n, b=[rand_matrix(rng, n, n) for _ in range(N + 1)])
+        spec = uniform_grid(N, n, b=[random_matrix(rng, n, n) for _ in range(N + 1)])
         try:
             for i in range(N + 1):
                 grid_vertical_P(spec, i)
@@ -160,7 +161,7 @@ def test_grid_covariance_sign_alternation_all_ones():
 
 def test_grid_closed_forms_require_identity_couplers():
     rng = random.Random(8)
-    spec = uniform_grid(1, 1, b=[rand_matrix(rng, 1, 1)] * 2, a=[Matrix([[Fraction(2)]])])
+    spec = uniform_grid(1, 1, b=[random_matrix(rng, 1, 1)] * 2, a=[Matrix([[Fraction(2)]])])
     with pytest.raises(GraphError):
         grid_vertical_P(spec, 0)
 
@@ -181,7 +182,7 @@ def test_q_fibonacci_scalar_cases():
 def test_q_fibonacci_matrix_q():
     rng = random.Random(9)
     for N in (2, 3, 4, 5):
-        Q = rand_matrix(rng, 2, 2)
+        Q = random_matrix(rng, 2, 2)
         g, val = q_fibonacci_grid(N, Q)
         sys = assemble(g)
         assert expected_multiplicity(probability_matrix(sys, g.edge_labels["v0"])) == val
@@ -203,7 +204,7 @@ def test_mixed_example_structure():
 
 def test_snake_graph_shape_and_oracle():
     rng = random.Random(10)
-    g = snake_graph("NE", 2, weight_fn=lambda lab, shape: rand_matrix(rng, *shape))
+    g = snake_graph("NE", 2, weight_fn=lambda lab, shape: random_matrix(rng, *shape))
     assert validate(g) == []
     assert len(g.vertices) == 8 and len(g.edges) == 10
     assert len(g.bounded_faces()) == 3
@@ -260,7 +261,7 @@ def test_boltzmann_weights_and_free_fermion():
 
 def test_plucker_relation_from_random_four_by_two():
     rng = random.Random(11)
-    m = rand_matrix(rng, 4, 2)
+    m = random_matrix(rng, 4, 2)
     rows = m.data
 
     def mi(i, j):
@@ -289,7 +290,7 @@ SNAKE_WORDS = ["", "E", "N", "NE", "EN", "NEN", "ENE", "EENNE", "NENEN"]
 
 def _seeded_snake(word, n, seed):
     rng = random.Random(seed)
-    return snake_graph(word, n, weight_fn=lambda lab, shape: rand_matrix(rng, *shape))
+    return snake_graph(word, n, weight_fn=lambda lab, shape: random_matrix(rng, *shape))
 
 
 def _generator_cases():
@@ -303,7 +304,7 @@ def _generator_cases():
             )
     for seed in range(4):
         cases[f"mixed-seed{seed}"] = lambda seed=seed: mixed_example(
-            *(rand_matrix(rng, k, k) for rng in [random.Random(seed)] for k in (1, 2, 3))
+            *(random_matrix(rng, k, k) for rng in [random.Random(seed)] for k in (1, 2, 3))
         )
     for q in (Fraction(2), Fraction(1, 3)):
         for N in range(1, 5):
