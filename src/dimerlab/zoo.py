@@ -1,16 +1,18 @@
 """Worked model families: 2xN grids, snake graphs, six-vertex ice.
 
-The grid generator is the workhorse: with per-column multiplicities and
-arbitrary coupler shapes it also produces the single edge (N = 0), the
-4-cycle (N = 1) and the mixed-multiplicity example.  Grid closed forms
-(probability matrices and covariances through noncommutative continued
-fractions) assume horizontal weights gauged to the identity; the
-generator itself takes arbitrary weights.
+Each generator places its vertices at integer points and lets :func:`embed`
+derive the rotation system and the cilia.  The grid generator is the
+workhorse: with per-column multiplicities and arbitrary coupler shapes it
+also produces the single edge (N = 0), the 4-cycle (N = 1) and the
+mixed-multiplicity example.  Grid closed forms (probability matrices and
+covariances through noncommutative continued fractions) assume horizontal
+weights gauged to the identity; the generator itself takes arbitrary
+weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graph import BLACK, WHITE, Edge, EmbeddedGraph, GraphError, Vertex
@@ -51,28 +53,18 @@ def embed(pos, colors, mults, edges, witness, cilia=None, connection=None) -> Em
             k = _ccw_key(*cilia[v])
             corner = sum(key < k for key, _ in keys) % len(keys)
         vertices.append(Vertex(v, colors[v], mults[v], tuple(e for _, e in keys), corner))
+    labels = {e.label: e.id for e in edges if e.label}
     g = EmbeddedGraph(
-        vertices,
-        edges,
-        outer_witness=witness,
-        edge_labels={e.label: e.id for e in edges if e.label},
-        connection=connection,
+        vertices, edges, outer_witness=witness, edge_labels=labels, connection=connection
     )
     if cilia is not None:
         return g
     outer = g.outer_face
-    return g.replace(
-        vertices=[
-            Vertex(
-                v.id,
-                v.color,
-                v.multiplicity,
-                v.rotation,
-                next((c for c in range(v.degree) if g.face_of_corner(v.id, c) == outer), 0),
-            )
-            for v in vertices
-        ]
-    )
+
+    def first_outer_corner(v):
+        return next((c for c in range(v.degree) if g.face_of_corner(v.id, c) == outer), 0)
+
+    return g.replace(vertices=[replace(v, cilium=first_outer_corner(v)) for v in vertices])
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +115,7 @@ def _rect_identity(rows: int, cols: int) -> Matrix:
 
 
 def random_matrix(rng, rows: int, cols: int) -> Matrix:
-    """Entries p/q with -4 <= p <= 4 and 1 <= q <= 3 drawn from ``rng``;
-    square ones are resampled until invertible."""
+    """Entries p/q, -4 <= p <= 4, 1 <= q <= 3; square ones resampled until invertible."""
     while True:
         m = Matrix(
             [
@@ -153,17 +144,12 @@ def grid_graph(spec: GridSpec) -> EmbeddedGraph:
     c_i = 3i-1.  All cilia point away from the grid.
     """
     N = spec.N
-
-    def white(i):
-        return 2 * i + 1 - i % 2
-
-    def black(i):
-        return 2 * i + i % 2
-
-    edges = [Edge(3 * i, white(i), black(i), spec.b[i], label=f"v{i}") for i in range(N + 1)]
+    white = [2 * i + 1 - i % 2 for i in range(N + 1)]
+    black = [2 * i + i % 2 for i in range(N + 1)]
+    edges = [Edge(3 * i, white[i], black[i], spec.b[i], label=f"v{i}") for i in range(N + 1)]
     for j in range(1, N + 1):
-        edges.append(Edge(3 * j - 2, white(j - 1), black(j), spec.a[j - 1], label=f"a{j}"))
-        edges.append(Edge(3 * j - 1, white(j), black(j - 1), spec.c[j - 1], label=f"c{j}"))
+        edges.append(Edge(3 * j - 2, white[j - 1], black[j], spec.a[j - 1], label=f"a{j}"))
+        edges.append(Edge(3 * j - 1, white[j], black[j - 1], spec.c[j - 1], label=f"c{j}"))
     pos = {v: (v // 2, v % 2) for v in range(2 * N + 2)}
     return embed(
         pos,
@@ -344,49 +330,30 @@ def snake_graph(word: str, n: int = 1, weight_fn=None) -> EmbeddedGraph:
     Vertices at integer corners, white when x + y is even.  Edges are
     labeled ``h{x}.{y}`` / ``v{x}.{y}`` by their lower-left endpoint;
     ``weight_fn(label, shape)`` supplies weights (identity by default).
-    Each cilium sits at its vertex's first outer-face corner (all snake
-    vertices lie on the outer boundary).
+    Each cilium sits at its vertex's first corner on the outer face.
     """
+    tiles = [(0, 0)]
     for ch in word:
         if ch not in ("E", "N"):
             raise GraphError(f"snake word must be over E/N, got {ch!r}")
-    tiles = [(0, 0)]
-    for ch in word:
         x, y = tiles[-1]
         tiles.append((x + 1, y) if ch == "E" else (x, y + 1))
-    if len(set(tiles)) != len(tiles):
-        raise GraphError("snake word revisits a tile")
-    segments = {}
+    segments = set()
     for x, y in tiles:
-        for seg, lab in (
-            (((x, y), (x + 1, y)), f"h{x}.{y}"),
-            (((x, y + 1), (x + 1, y + 1)), f"h{x}.{y + 1}"),
-            (((x, y), (x, y + 1)), f"v{x}.{y}"),
-            (((x + 1, y), (x + 1, y + 1)), f"v{x + 1}.{y}"),
-        ):
-            segments[seg] = lab
+        segments |= {((x, y), (x + 1, y)), ((x, y + 1), (x + 1, y + 1))}
+        segments |= {((x, y), (x, y + 1)), ((x + 1, y), (x + 1, y + 1))}
     points = sorted({p for seg in segments for p in seg}, key=lambda p: (p[1], p[0]))
-    vid = {p: i for i, p in enumerate(points)}
-
-    def color(p):
-        return WHITE if (p[0] + p[1]) % 2 == 0 else BLACK
-
+    pos = dict(enumerate(points))
+    vid = {p: i for i, p in pos.items()}
+    colors = {v: WHITE if (x + y) % 2 == 0 else BLACK for v, (x, y) in pos.items()}
     edges = []
-    for eid, seg in enumerate(sorted(segments)):
-        p1, p2 = seg
-        wp, bp = (p1, p2) if color(p1) == WHITE else (p2, p1)
-        lab = segments[seg]
+    for eid, (p1, p2) in enumerate(sorted(segments)):
+        lab = f"{'h' if p1[1] == p2[1] else 'v'}{p1[0]}.{p1[1]}"
         wt = weight_fn(lab, (n, n)) if weight_fn is not None else Matrix.identity(n)
-        edges.append(Edge(eid, vid[wp], vid[bp], wt, label=lab))
-    # edge 1 is h0.0, the bottom side of tile (0, 0): its black end (1, 0)
-    # sees the outer face
-    return embed(
-        dict(enumerate(points)),
-        {i: color(p) for i, p in enumerate(points)},
-        dict.fromkeys(vid.values(), n),
-        edges,
-        witness=(1, BLACK),
-    )
+        w, b = (vid[p1], vid[p2]) if colors[vid[p1]] == WHITE else (vid[p2], vid[p1])
+        edges.append(Edge(eid, w, b, wt, label=lab))
+    # edge 1 is h0.0, the bottom of tile (0, 0), whose black end sees the outer face
+    return embed(pos, colors, dict.fromkeys(pos, n), edges, witness=(1, BLACK))
 
 
 def snake_reduce(g: EmbeddedGraph):
@@ -436,6 +403,7 @@ def snake_reduce(g: EmbeddedGraph):
 # six-vertex model (square ice), free-fermionic weights
 # ---------------------------------------------------------------------------
 
+
 def direction_vectors(cos_t, sin_t):
     """Row vectors decorating the four edges around each oxygen vertex."""
     one = cos_t * 0 + 1
@@ -479,9 +447,8 @@ def six_vertex(rows: int, cols: int, cos_sin=(Fraction(3, 5), Fraction(4, 5))) -
     right columns only, which forces rows == cols.  Every edge (w, b)
     carries the 1x2 direction row-vector of w as seen from b, and the
     connection is identically +1 (the direction vectors carry the signs).
-    Black (r, q) sits at (2q, -2r) with every cilium pointing to (1, -1).
-    Its edges are labeled ``b{r}.{q}-{d}`` by the direction d of the white,
-    except at the centre black of an odd lattice: ``center-{d}``.
+    Black (r, q) sits at (2q, -2r); all cilia point to (1, -1).  Its edges
+    are labeled ``b{r}.{q}-{d}``, or ``center-{d}`` at an odd lattice's centre.
     """
     if rows < 1 or cols < 1:
         raise GraphError("need rows, cols >= 1")
@@ -494,7 +461,7 @@ def six_vertex(rows: int, cols: int, cos_sin=(Fraction(3, 5), Fraction(4, 5))) -
     edges = []
     for r in range(rows):
         for q in range(cols):
-            name = "center" if (r, q) == center else f"b{r}.{q}"
+            name = "center-" if (r, q) == center else f"b{r}.{q}-"
             for d, dx, dy in (("west", -1, 0), ("north", 0, 1), ("east", 1, 0), ("south", 0, -1)):
                 if (d == "north" and r == 0) or (d == "south" and r == rows - 1):
                     continue
@@ -502,7 +469,7 @@ def six_vertex(rows: int, cols: int, cos_sin=(Fraction(3, 5), Fraction(4, 5))) -
                 if p not in white_at:
                     white_at[p] = len(pos)
                     pos[len(pos)] = p
-                edges.append(Edge(len(edges), white_at[p], r * cols + q, vecs[d], label=f"{name}-{d}"))
+                edges.append(Edge(len(edges), white_at[p], r * cols + q, vecs[d], label=name + d))
     blacks = rows * cols
     return embed(
         pos,

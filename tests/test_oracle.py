@@ -159,10 +159,11 @@ def _assert_sweep_matches_colorings(g, transpose_minors=False, tol=None):
 
 def test_integer_sweep_is_exact_on_mixed_denominators():
     rng = random.Random(11)
-    mats = [
-        Matrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 9)) for _ in range(3)] for _ in range(3)])
-        for _ in range(7)
-    ]
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 9))
+
+    mats = [Matrix([[entry() for _ in range(3)] for _ in range(3)]) for _ in range(7)]
     g = grid_graph(uniform_grid(2, 3, b=mats[:3], a=mats[3:5], c=mats[5:]))
     assert len({x.denominator for m in mats for row in m.data for x in row}) > 3
     _assert_sweep_matches_colorings(g)

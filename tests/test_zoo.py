@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dimerlab.graph import GraphError, graph_to_spec, validate
+from dimerlab.graph import BLACK, WHITE, Edge, GraphError, graph_to_spec, validate
 from dimerlab.kasteleyn import assemble
 from dimerlab.linalg import Matrix, det, inverse
 from dimerlab.oracle import enumerate_covers, oracle_partition
@@ -20,6 +20,7 @@ from dimerlab.zoo import (
     GridSpec,
     boltzmann_weights,
     continued_fraction,
+    embed,
     free_fermion_check,
     grid_covariance,
     grid_diag_inverse,
@@ -279,6 +280,22 @@ def test_grid_spec_validation():
         GridSpec(b=[Matrix([[1, 2]])])
     with pytest.raises(GraphError):
         GridSpec(b=[Matrix.identity(2)], a=[Matrix.identity(2)])
+
+
+
+@pytest.mark.parametrize("toward,corner", [((1, 0), 0), ((1, 1), 1), ((-1, 1), 2), ((1, -3), 4)])
+def test_embed_orders_non_axis_neighbours_counterclockwise(toward, corner):
+    # a black centre at the origin; its white neighbours are listed out of
+    # angular order, at 315, 116.6, 26.6, 180 and 270 degrees
+    points = [(0, 0), (1, -1), (-1, 2), (2, 1), (-3, 0), (0, -5)]
+    pos = dict(enumerate(points))
+    edges = [Edge(i - 1, i, 0, Matrix.identity(1)) for i in range(1, len(points))]
+    colors = {v: BLACK if v == 0 else WHITE for v in pos}
+    cilia = dict.fromkeys(pos, toward)
+    g = embed(pos, colors, dict.fromkeys(pos, 1), edges, (0, WHITE), cilia=cilia)
+    assert g.vertices[0].rotation == (2, 1, 3, 4, 0)
+    assert g.vertices[0].cilium == corner
+    assert all(g.vertices[v].rotation == (v - 1,) for v in range(1, len(points)))
 
 
 # ---------------------------------------------------------------------------
