@@ -12,8 +12,10 @@ weights.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .graph import BLACK, WHITE, Edge, EmbeddedGraph, GraphError, Vertex
 from .linalg import Matrix, det, inverse
@@ -40,18 +42,18 @@ def embed(pos, colors, mults, edges, witness, cilia=None, connection=None) -> Em
     direction, and the cilium goes to the corner that holds it; with
     ``cilia=None`` each cilium sits at its vertex's first outer-face corner.
     """
+    key = lru_cache(maxsize=None)(_ccw_key)  # a few directions recur; cache per call
     around = {v: [] for v in pos}
     for e in edges:
-        for v, u in ((e.white, e.black), (e.black, e.white)):
-            (x, y), (ux, uy) = pos[v], pos[u]
-            around[v].append((_ccw_key(ux - x, uy - y), e.id))
+        (wx, wy), (bx, by) = pos[e.white], pos[e.black]
+        around[e.white].append((key(bx - wx, by - wy), e.id))
+        around[e.black].append((key(wx - bx, wy - by), e.id))
     vertices = []
     for v in pos:
         keys = sorted(around[v])
         corner = 0
         if cilia is not None and keys:
-            k = _ccw_key(*cilia[v])
-            corner = sum(key < k for key, _ in keys) % len(keys)
+            corner = bisect_left(keys, (key(*cilia[v]),)) % len(keys)
         vertices.append(Vertex(v, colors[v], mults[v], tuple(e for _, e in keys), corner))
     labels = {e.label: e.id for e in edges if e.label}
     g = EmbeddedGraph(
