@@ -56,9 +56,7 @@ def embed(pos, colors, mults, edges, witness, cilia=None, connection=None) -> Em
             corner = bisect_left(keys, (key(*cilia[v]),)) % len(keys)
         vertices.append(Vertex(v, colors[v], mults[v], tuple(e for _, e in keys), corner))
     labels = {e.label: e.id for e in edges if e.label}
-    g = EmbeddedGraph(
-        vertices, edges, outer_witness=witness, edge_labels=labels, connection=connection
-    )
+    g = EmbeddedGraph(vertices, edges, witness, labels, connection)
     if cilia is not None:
         return g
     outer = g.outer_face
@@ -458,12 +456,11 @@ def six_vertex(rows: int, cols: int, cos_sin=(Fraction(3, 5), Fraction(4, 5))) -
         raise GraphError("domain-wall boundary needs rows == cols")
     vecs = direction_vectors(*cos_sin)
     pos = {r * cols + q: (2 * q, -2 * r) for r in range(rows) for q in range(cols)}
-    center = (rows // 2, rows // 2) if rows % 2 else None
     white_at = {}  # point -> white vertex id
     edges = []
     for r in range(rows):
         for q in range(cols):
-            name = "center-" if (r, q) == center else f"b{r}.{q}-"
+            name = "center-" if r == q == rows // 2 and rows % 2 else f"b{r}.{q}-"
             for d, dx, dy in (("west", -1, 0), ("north", 0, 1), ("east", 1, 0), ("south", 0, -1)):
                 if (d == "north" and r == 0) or (d == "south" and r == rows - 1):
                     continue
