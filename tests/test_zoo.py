@@ -282,7 +282,6 @@ def test_grid_spec_validation():
         GridSpec(b=[Matrix.identity(2)], a=[Matrix.identity(2)])
 
 
-
 @pytest.mark.parametrize("toward,corner", [((1, 0), 0), ((1, 1), 1), ((-1, 1), 2), ((1, -3), 4)])
 def test_embed_orders_non_axis_neighbours_counterclockwise(toward, corner):
     # a black centre at the origin; its white neighbours are listed out of
@@ -310,6 +309,11 @@ def _seeded_snake(word, n, seed):
     return snake_graph(word, n, weight_fn=lambda lab, shape: random_matrix(rng, *shape))
 
 
+def _seeded_mixed(seed):
+    rng = random.Random(seed)
+    return mixed_example(*(random_matrix(rng, k, k) for k in (1, 2, 3)))
+
+
 def _generator_cases():
     """Case name -> zero-argument builder of one generator graph."""
     cases = {}
@@ -320,9 +324,7 @@ def _generator_cases():
                 random.Random(10 * N + n), N, n
             )
     for seed in range(4):
-        cases[f"mixed-seed{seed}"] = lambda seed=seed: mixed_example(
-            *(random_matrix(rng, k, k) for rng in [random.Random(seed)] for k in (1, 2, 3))
-        )
+        cases[f"mixed-seed{seed}"] = lambda seed=seed: _seeded_mixed(seed)
     for q in (Fraction(2), Fraction(1, 3)):
         for N in range(1, 5):
             cases[f"qfib-N{N}-q{q}"] = lambda N=N, q=q: q_fibonacci_grid(N, Matrix([[q]]))[0]
