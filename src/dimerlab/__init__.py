@@ -36,7 +36,6 @@ from .linalg import (
     Matrix,
     ShapeError,
     SingularMatrixError,
-    adjugate,
     char_coeffs,
     det,
     inverse,
@@ -66,15 +65,12 @@ from .oracle import (
     oracle_product_expectation,
     sample_cover,
 )
-from .scalars import MPoly
 from .statistics import (
     Distribution,
     covariance,
     cycle_probability_matrix,
-    edge_pgf,
     expected_multiplicity,
     joint_distribution,
-    joint_pgf,
     moment,
     multiplicity_distribution,
     pr_used,

@@ -146,9 +146,11 @@ def graph_digest(g) -> dict:
     }
 
 
-def add_input_flags(p, positional=False, gen_seed_flag="--seed"):
+def add_input_flags(p, positional=False, gen_seed_flag="--seed", gen_required=False):
     p.add_argument("--graph", help="GraphSpec JSON file")
-    p.add_argument("--gen", choices=["grid", "mixed", "six-vertex", "snake", "qfib"])
+    p.add_argument(
+        "--gen", choices=["grid", "mixed", "six-vertex", "snake", "qfib"], required=gen_required
+    )
     p.add_argument("--N", type=int, default=2, help="grid length parameter")
     p.add_argument("--n", type=int, default=1, help="uniform multiplicity")
     p.add_argument("--rows", type=int, default=3)
@@ -372,7 +374,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("gen", help="emit a generator GraphSpec to a file")
-    add_input_flags(p)
+    add_input_flags(p, gen_required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_gen)

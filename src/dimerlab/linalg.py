@@ -1,11 +1,9 @@
-"""Dense matrices generic over the three scalar backends.
+"""Dense matrices over the two scalar fields, rationals and floats.
 
 Everything the statistics formulas need lives here: one pivoted LU
-elimination over a field on sparse dict rows (determinants, inverses and
-single column solves all go through it), a division-free
-determinant for small polynomial matrices (cofactor expansion), minors and
-characteristic-polynomial coefficients via Newton's identities.  Entries
-are whatever the scalar backend supplies; no floating-point shortcuts are
+elimination on sparse dict rows (determinants, inverses and single column
+solves all go through it), minors and characteristic-polynomial
+coefficients via Newton's identities.  No floating-point shortcuts are
 ever taken on exact input.
 """
 
@@ -15,8 +13,6 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from operator import mul
-
-from .scalars import MPoly
 
 
 class LinalgError(Exception):
@@ -109,9 +105,6 @@ class Matrix:
 
     def has_float(self) -> bool:
         return any(isinstance(x, float) for row in self.data for x in row)
-
-    def has_poly(self) -> bool:
-        return any(isinstance(x, MPoly) for row in self.data for x in row)
 
     def map(self, fn) -> "Matrix":
         return Matrix([[fn(x) for x in row] for row in self.data])
@@ -273,40 +266,18 @@ def lu(m: Matrix) -> LU:
 
 
 def det(m: Matrix):
-    """Exact determinant.
-
-    Field entries (rationals, floats) use the pivoted elimination of
-    :func:`lu`; polynomial entries use a cofactor expansion along row 0,
-    since the polynomial ring has no division.  That expansion takes n!
-    terms and is meant for the small symbolic matrices of the tests.
-    """
+    """Determinant, the signed pivot product of :func:`lu` (exact on exact input)."""
     if not m.is_square():
         raise ShapeError("determinant of non-square matrix")
     if m.rows == 1:  # most oracle minors; skips the factorisation's set-up
         return m.data[0][0]
-    if m.has_poly():
-        return _det_cofactor(m.map(MPoly.coerce).data)
     return lu(m).det()
-
-
-def _det_cofactor(rows):
-    # Laplace expansion along row 0; only +, * and - are used, n! terms.
-    if len(rows) == 1:
-        return rows[0][0]
-    acc = MPoly.const(0)
-    for j, x in enumerate(rows[0]):
-        if x:
-            term = x * _det_cofactor([r[:j] + r[j + 1 :] for r in rows[1:]])
-            acc = acc - term if j % 2 else acc + term
-    return acc
 
 
 def inverse(m: Matrix) -> Matrix:
     """Exact inverse, one :func:`lu` solve per unit column; raises SingularMatrixError."""
     if not m.is_square():
         raise ShapeError("inverse of non-square matrix")
-    if m.has_poly():
-        raise LinalgError("polynomial matrices are not invertible in the ring")
     f = lu(m)
     return Matrix(zip(*(f.solve_unit(j) for j in range(m.rows))))
 
@@ -329,34 +300,14 @@ def minor(m: Matrix, row_idx, col_idx):
     return det(m.submatrix(row_idx, col_idx))
 
 
-def adjugate(m: Matrix) -> Matrix:
-    """Cofactor transpose, division-free (works over polynomials)."""
-    if not m.is_square():
-        raise ShapeError("adjugate of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return m
-    rows = list(range(n))
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = m.submatrix([r for r in rows if r != j], [c for c in rows if c != i])
-            cof = det(sub)
-            out[i][j] = cof if (i + j) % 2 == 0 else -cof
-    return Matrix(out)
-
-
 def char_coeffs(m: Matrix):
     """Elementary symmetric functions e_0..e_n of the eigenvalues.
 
     Computed from traces of powers via Newton's identities, entirely in
     the base field; no eigendecomposition.  det(I + t m) = sum e_k t^k.
-    Unsupported for polynomial entries (the identities divide by 1..n).
     """
     if not m.is_square():
         raise ShapeError("char_coeffs of non-square matrix")
-    if m.has_poly():
-        raise LinalgError("char_coeffs is unsupported for the polynomial scalar")
     n = m.rows
     power = m
     ptr = []

@@ -17,10 +17,9 @@ insertion order and a BFS from each vertex, the smallest peak of open
 edges, then the smallest sum (ties keep the earlier candidate).  An edge
 whose entries are exact enters as d_e W_e, d_e the lcm of its entry
 denominators, so the sweep adds and multiplies Python ints; each cover
-divides once by the product of d_e^{m_e}.  Float and polynomial entries
-take d_e = 1.  ``oracle_cover_table`` shares one memo (order, scales,
-minors, per-vertex deals) across the covers of one call; nothing is kept
-between calls.
+divides once by the product of d_e^{m_e}.  Float entries take d_e = 1.
+``oracle_cover_table`` shares one memo (order, scales, minors, per-vertex
+deals) across the covers of one call; nothing is kept between calls.
 
 The one statistic is ``oracle_joint``, the joint pmf of listed edges over
 the cover table; pmfs, moments and products are sums over it, and

@@ -1,12 +1,12 @@
 """Scalar backends.
 
-Three kinds of scalar flow through the library: exact rationals
-(``fractions.Fraction``, the default), binary floats (opt-in, for
-irrational parameters like a generic six-vertex angle), and multivariate
-polynomials with rational coefficients over named formal variables
-(:class:`MPoly`, used for generating functions).  Every matrix routine is
-generic over these, so this module only has to provide parsing, printing
-and the polynomial ring itself.
+Two fields flow through the library: exact rationals
+(``fractions.Fraction``, the default) and binary floats (opt-in, for
+irrational parameters like a generic six-vertex angle).  This module
+parses and prints them.  :class:`MPoly`, multivariate polynomials with
+rational coefficients, is the ring the tests' symbolic identities use; no
+library routine produces one.  It stays here because the benchmark's
+tracer (``bench/tracer.py``) counts its multiplications by this name.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 For an edge e = (w, b) the probability matrix is the block product
 P_e = K^{[b],[w]} ε(e) wt(e); its trace is the expected multiplicity and
-det(I + (t-1) P_e) is the probability generating function.  The exact
-pmf, moments, variance and covariances are derived from traces and
+det(I + (t-1) P_e) is the probability generating function, whose
+coefficients :func:`multiplicity_distribution` returns.  The exact pmf,
+moments, variance and covariances are derived from traces and
 characteristic coefficients, never from eigenvalues, so the rational
 backend stays exact end to end.  Multi-edge product expectations and
 joint distributions are sums of principal minors of the marked-edge
@@ -23,7 +24,6 @@ from functools import lru_cache
 from .graph import GraphError
 from .kasteleyn import KasteleynSystem
 from .linalg import Matrix, char_coeffs, det, inverse
-from .scalars import MPoly
 
 PSI_MAX = 8  # k! enumeration guard
 MAX_MINORS = 2**14  # principal minors one minor_sums call may take
@@ -82,19 +82,6 @@ class Distribution:
 
     def mean(self):
         return sum((k * m for k, m in enumerate(self.masses)), Fraction(0))
-
-
-def edge_pgf(p: Matrix) -> MPoly:
-    """det(I + (t-1) P_e) as a polynomial in the formal variable t."""
-    es = char_coeffs(p)
-    t = MPoly.var("t")
-    shift = t - 1
-    acc = MPoly.const(0)
-    power = MPoly.const(Fraction(1))
-    for k, ek in enumerate(es):
-        acc = acc + power * ek
-        power = power * shift
-    return acc
 
 
 def multiplicity_distribution(p: Matrix, es=None) -> Distribution:
@@ -278,22 +265,6 @@ def covariance(sys: KasteleynSystem, e1: int, e2: int):
     return -cycle_probability_matrix(sys, [e1, e2]).trace()
 
 
-def edge_variable(eid: int) -> str:
-    return f"t{eid}"
-
-
-def joint_pgf(sys: KasteleynSystem, edge_ids) -> MPoly:
-    """det(K^{-1} K~) with the marked edges' blocks scaled by formal t_e.
-
-    The coefficient of prod t_e^{k_e} is Pr[m_e = k_e for all marked e];
-    see :func:`joint_distribution`.
-    """
-    edge_ids = list(edge_ids)
-    names = [edge_variable(eid) for eid in edge_ids]
-    dist = joint_distribution(sys, edge_ids)
-    return MPoly({tuple((v, k) for v, k in zip(names, key) if k): p for key, p in dist.items()})
-
-
 def joint_distribution(sys: KasteleynSystem, edge_ids) -> dict:
     """{multiplicity tuple -> probability} for the marked edges (nonzero only).
 
@@ -306,9 +277,9 @@ def joint_distribution(sys: KasteleynSystem, edge_ids) -> dict:
     """
     edge_ids = list(edge_ids)
     if len(set(edge_ids)) != len(edge_ids):
-        raise GraphError("joint_pgf needs distinct edges")
+        raise GraphError("joint_distribution needs distinct edges")
     if len(edge_ids) > MAX_MARKED:
-        raise GraphError(f"joint_pgf guard: {len(edge_ids)} > {MAX_MARKED} marked edges")
+        raise GraphError(f"joint_distribution guard: {len(edge_ids)} > {MAX_MARKED} marked edges")
     caps = [min(sys.graph.edges[eid].weight.shape) for eid in edge_ids]
     sums = minor_sums(*marked_matrix(sys, edge_ids), [range(c + 1) for c in caps])
     for e in range(len(edge_ids)):  # the change of basis, one edge at a time

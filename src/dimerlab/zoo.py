@@ -51,6 +51,8 @@ def embed(pos, colors, mults, edges, witness, cilia=None, connection=None) -> Em
     vertices = []
     for v in pos:
         keys = sorted(around[v])
+        if any(a[0] == b[0] for a, b in zip(keys, keys[1:])):
+            raise GraphError(f"vertex {v}: two edges leave in the same direction")
         corner = 0
         if cilia is not None and keys:
             corner = bisect_left(keys, (key(*cilia[v]),)) % len(keys)
@@ -313,9 +315,9 @@ def q_fibonacci_grid(N: int, q: Matrix):
     a = [qinv if i % 2 == 1 else q for i in range(1, N + 1)]
     spec = GridSpec(b=[ident] * (N + 1), a=a, c=[ident] * N)
     g = grid_graph(spec)
-    twins = q_fibonacci_twin_polys(max(N, 1), q)
+    twin = q_fibonacci_twin_polys(N, q)[-1] if N else qinv  # Ftilde_0 = Q^{-1}
     fs = q_fibonacci_polys(N + 1, q)
-    value = (q @ twins[N - 1] @ inverse(fs[N + 1])).trace()
+    value = (q @ twin @ inverse(fs[N + 1])).trace()
     return g, value
 
 

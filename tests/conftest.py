@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dimerlab.graph import EmbeddedGraph
+from dimerlab.linalg import Matrix
 from dimerlab.zoo import (
     GridSpec,
     grid_graph,
@@ -27,6 +28,39 @@ def rand_grid(rng, N, n, identity_couplers=False):
             a=[random_matrix(rng, n, n) for _ in range(N)],
             c=[random_matrix(rng, n, n) for _ in range(N)],
         )
+    )
+
+
+def cofactor_det(m: Matrix):
+    """Laplace expansion along the first remaining row (memoised on columns).
+
+    Division-free, so it also takes polynomial entries; the reference the
+    library's LU determinant is checked against.
+    """
+    memo = {}
+
+    def expand(row, cols):
+        if row == m.rows:
+            return Fraction(1)
+        if cols not in memo:
+            acc = Fraction(0)
+            for k, c in enumerate(cols):
+                x = m[row, c]
+                if x:
+                    term = x * expand(row + 1, cols[:k] + cols[k + 1 :])
+                    acc = acc - term if k % 2 else acc + term
+            memo[cols] = acc
+        return memo[cols]
+
+    return expand(0, tuple(range(m.cols)))
+
+
+def adjugate(m: Matrix) -> Matrix:
+    """Cofactor transpose from :func:`cofactor_det`, division-free."""
+    n = range(m.rows)
+    rest = [[k for k in n if k != i] for i in n]  # the indices other than i
+    return Matrix(
+        [[(-1) ** (i + j) * cofactor_det(m.submatrix(rest[j], rest[i])) for j in n] for i in n]
     )
 
 

@@ -172,6 +172,18 @@ def test_input_error_exit_code(capsys):
     assert "input error" in err
 
 
+def test_gen_requires_gen_flag(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--out", str(path)])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --gen" in capsys.readouterr().err
+    assert not path.exists()
+    # stats still reads --gen without it, and qfib at N = 0 is a valid graph
+    rc, out, _ = run(capsys, "stats", "--gen", "qfib", "--N", "0")
+    assert rc == 0 and "Z = 1" in out
+
+
 @pytest.mark.parametrize(
     "argv",
     ["--gen grid --N 2 --n 0", "--gen grid --N 2 --n -1", "--gen snake --word EN --n -2"],

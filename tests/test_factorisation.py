@@ -11,27 +11,7 @@ from dimerlab.linalg import BlockMatrix, Matrix, det, inverse, lu
 from dimerlab.statistics import probability_matrix
 from dimerlab.zoo import mixed_example, random_matrix, six_vertex
 
-from conftest import rand_grid
-
-
-def cofactor_det(m: Matrix):
-    """Laplace expansion along the first remaining row (memoised on columns)."""
-    memo = {}
-
-    def expand(row, cols):
-        if row == m.rows:
-            return Fraction(1)
-        if cols not in memo:
-            acc = Fraction(0)
-            for k, c in enumerate(cols):
-                x = m[row, c]
-                if x:
-                    term = x * expand(row + 1, cols[:k] + cols[k + 1 :])
-                    acc = acc - term if k % 2 else acc + term
-            memo[cols] = acc
-        return memo[cols]
-
-    return expand(0, tuple(range(m.cols)))
+from conftest import cofactor_det, rand_grid
 
 
 def rand_mixed(rng):

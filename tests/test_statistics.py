@@ -7,7 +7,7 @@ import pytest
 
 from dimerlab.graph import GraphError
 from dimerlab.kasteleyn import assemble
-from dimerlab.linalg import Matrix, adjugate, char_coeffs, det, inverse
+from dimerlab.linalg import Matrix, inverse
 from dimerlab.oracle import (
     oracle_cover_table,
     oracle_distribution,
@@ -16,17 +16,13 @@ from dimerlab.oracle import (
     oracle_product_expectation,
     sample_cover,
 )
-from dimerlab.scalars import MPoly
 from dimerlab.statistics import (
     covariance,
     cycle_probability_matrix,
     distribution_via_failure_odds,
     distribution_via_success_odds,
-    edge_pgf,
-    edge_variable,
     expected_multiplicity,
     joint_distribution,
-    joint_pgf,
     moment,
     multiplicity_distribution,
     pr_used,
@@ -90,12 +86,10 @@ def test_cycle_matrix_adjacent_pair_value():
     assert cycle_probability_matrix(sys, [L["v0"], L["c1"]]).trace() == Fraction(1, 4)
 
 
-def test_edge_pgf_special_cases():
-    assert edge_pgf(Matrix.identity(2)) == MPoly.var("t") ** 2
+def test_multiplicity_distribution_special_cases():
+    assert list(multiplicity_distribution(Matrix.identity(2))) == [0, 0, 1]
     p = Fraction(2, 7)
-    pgf = edge_pgf(Matrix([[p]]))
-    t = MPoly.var("t")
-    assert pgf == (1 - p) + p * t
+    assert list(multiplicity_distribution(Matrix([[p]]))) == [1 - p, p]
 
 
 def test_diag_square_is_product_measure():
@@ -104,8 +98,9 @@ def test_diag_square_is_product_measure():
     P = probability_matrix(sys, 0)
     dist = multiplicity_distribution(P)
     assert list(dist) == [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
-    pgf = edge_pgf(P)
-    assert [pgf.coefficient({"t": k}) for k in range(3)] == list(dist)
+    # the pgf is the square of the scalar 4-cycle's
+    q0, q1 = multiplicity_distribution(probability_matrix(assemble(all_ones_square()), 0))
+    assert list(dist) == [q0 * q0, 2 * q0 * q1, q1 * q1]
     assert expected_multiplicity(P) == 1
     assert variance(P) == Fraction(1, 2)
     assert moment(P, 2) == Fraction(3, 2)
@@ -184,32 +179,6 @@ def test_psi_small_cases_and_guard():
         psi([a1] * 9)
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_determinant_derivative_lemma(k):
-    # d^k det(A) * det(A)^{k-1} == Psi_k applied to adj(A) dA/dt_i, exactly,
-    # for A with each entry depending on at most one variable
-    for seed in range(3):
-        rng = random.Random(seed)
-        entries = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                owner = rng.randrange(k)
-                row.append(
-                    MPoly.const(Fraction(rng.randint(-3, 3)))
-                    + MPoly.var(f"t{owner}") * Fraction(rng.randint(-3, 3))
-                )
-            entries.append(row)
-        A = Matrix(entries)
-        detA = det(A)
-        lhs = detA
-        for t in range(k):
-            lhs = lhs.diff(f"t{t}")
-        adj = adjugate(A)
-        ys = [adj @ A.map(lambda x, t=t: x.diff(f"t{t}")) for t in range(k)]
-        assert lhs * detA ** (k - 1) == psi(ys)
-
-
 def test_product_expectation_consistency():
     rng = random.Random(7)
     g = rand_grid(rng, 2, 2)
@@ -267,37 +236,36 @@ def test_scalar_covariance_formula():
         assert covariance(sys, e1, e2) == direct
 
 
-def test_joint_pgf_edge_cases_and_oracle():
+def test_joint_distribution_edge_cases_and_oracle():
     rng = random.Random(9)
     g = rand_grid(rng, 2, 2)
     sys = assemble(g)
     table = oracle_cover_table(g)
-    assert joint_pgf(sys, []) == 1
+    assert joint_distribution(sys, []) == {(): 1}
     eids = sorted(g.edges)
     e1, e2 = eids[0], eids[4]
-    # marginal equals the single-edge pgf
-    jp = joint_pgf(sys, [e1])
-    pg = edge_pgf(probability_matrix(sys, e1))
+    # one marked edge gives the single-edge pmf
+    joint = joint_distribution(sys, [e1])
+    dist = multiplicity_distribution(probability_matrix(sys, e1))
     for k in range(3):
-        assert jp.coefficient({edge_variable(e1): k}) == pg.coefficient({"t": k})
+        assert joint.get((k,), 0) == dist[k]
     # two-edge joint equals the oracle joint distribution
     assert joint_distribution(sys, [e1, e2]) == oracle_joint(g, [e1, e2], table)
 
 
-def test_joint_pgf_specializes_to_marginal():
+def test_joint_distribution_specializes_to_marginal():
     rng = random.Random(13)
     g = rand_grid(rng, 2, 2)
     sys = assemble(g)
     eids = sorted(g.edges)
     e1, e2 = eids[1], eids[5]
-    joint = joint_pgf(sys, [e1, e2])
-    marginal = joint.subs({edge_variable(e2): Fraction(1)})
-    pg = edge_pgf(probability_matrix(sys, e1))
+    joint = joint_distribution(sys, [e1, e2])
+    dist = multiplicity_distribution(probability_matrix(sys, e1))
     for k in range(3):
-        assert marginal.coefficient({edge_variable(e1): k}) == pg.coefficient({"t": k})
+        assert sum(p for (k1, _), p in joint.items() if k1 == k) == dist[k]
 
 
-def test_joint_pgf_opposite_pair_all_ones():
+def test_joint_distribution_opposite_pair_all_ones():
     g = all_ones_square()
     sys = assemble(g)
     L = g.edge_labels
@@ -305,15 +273,15 @@ def test_joint_pgf_opposite_pair_all_ones():
     assert jd == {(1, 1): Fraction(1, 2), (0, 0): Fraction(1, 2)}
 
 
-def test_joint_pgf_guard():
+def test_joint_distribution_guard():
     rng = random.Random(10)
     g = rand_grid(rng, 2, 1)
     sys = assemble(g)
     with pytest.raises(GraphError):
-        joint_pgf(sys, sorted(g.edges)[:5])
+        joint_distribution(sys, sorted(g.edges)[:5])
 
 
-def test_joint_pgf_marked_edges_sharing_a_black_vertex():
+def test_joint_distribution_marked_edges_sharing_a_black_vertex():
     rng = random.Random(11)
     g = rand_grid(rng, 2, 2)
     sys = assemble(g)
@@ -323,7 +291,7 @@ def test_joint_pgf_marked_edges_sharing_a_black_vertex():
         assert joint_distribution(sys, marked) == oracle_joint(g, marked, table)
 
 
-def test_joint_pgf_on_mixed_multiplicities():
+def test_joint_distribution_on_mixed_multiplicities():
     rng = random.Random(12)
     g = mixed_example(random_matrix(rng, 1, 1), random_matrix(rng, 2, 2), random_matrix(rng, 3, 3))
     sys = assemble(g)

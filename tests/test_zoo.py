@@ -180,6 +180,16 @@ def test_q_fibonacci_scalar_cases():
             assert val == (Q @ twins[N - 1] @ inverse(fs[N + 1])).trace()
 
 
+def test_q_fibonacci_value_is_the_left_edge_mean_from_N_0():
+    # at N = 0 the grid is one identity edge, whose mean is n
+    rng = random.Random(10)
+    for Q in (Matrix([[Fraction(2)]]), random_matrix(rng, 2, 2)):
+        for N in range(4):
+            g, val = q_fibonacci_grid(N, Q)
+            sys = assemble(g)
+            assert val == expected_multiplicity(probability_matrix(sys, g.edge_labels["v0"]))
+
+
 def test_q_fibonacci_matrix_q():
     rng = random.Random(9)
     for N in (2, 3, 4, 5):
@@ -295,6 +305,15 @@ def test_embed_orders_non_axis_neighbours_counterclockwise(toward, corner):
     assert g.vertices[0].rotation == (2, 1, 3, 4, 0)
     assert g.vertices[0].cilium == corner
     assert all(g.vertices[v].rotation == (v - 1,) for v in range(1, len(points)))
+
+
+def test_embed_refuses_two_edges_in_one_direction():
+    # both whites lie east of the black centre, so no rotation order exists
+    pos = {0: (0, 0), 1: (1, 0), 2: (2, 0)}
+    edges = [Edge(0, 1, 0, Matrix.identity(1)), Edge(1, 2, 0, Matrix.identity(1))]
+    colors = {0: BLACK, 1: WHITE, 2: WHITE}
+    with pytest.raises(GraphError, match="same direction"):
+        embed(pos, colors, dict.fromkeys(pos, 1), edges, (0, WHITE))
 
 
 # ---------------------------------------------------------------------------
